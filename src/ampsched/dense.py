@@ -194,12 +194,3 @@ class BlockedMatrix:
         """Assemble and keep only the upper triangle (the Cholesky factor)."""
         return np.asfortranarray(np.triu(self.assemble()))
 
-
-def save_csv(a: np.ndarray, path) -> None:
-    """Write a matrix as CSV, one row per line. Debugging aid only."""
-    np.savetxt(path, np.asarray(a), delimiter=",")
-
-
-def load_csv(path) -> np.ndarray:
-    a = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asfortranarray(a.astype(np.float64))

@@ -22,6 +22,7 @@ import csv
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,8 +87,9 @@ def split_loop3(m: int, cfg: LaneConfig) -> Loop3Split:
     """Proportional 1-D partition of [0, m) between the lanes.
 
     The fast lane gets round(m * speed_fast / (speed_fast + speed_slow))
-    leading rows. A share smaller than half the lane's own mc is folded
-    into the other lane so no lane receives a useless sliver.
+    leading rows. The smaller share is folded into the other lane when it
+    is also below half its lane's own mc, so no lane receives a useless
+    sliver and the larger share is never moved to the other lane.
     """
     if m < 0:
         raise ValueError("row count must be nonnegative")
@@ -97,9 +99,9 @@ def split_loop3(m: int, cfg: LaneConfig) -> Loop3Split:
         return Loop3Split((0, m), (m, m))
     f = int(m * cfg.speed_fast / (cfg.speed_fast + cfg.speed_slow) + 0.5)
     f = min(max(f, 0), m)
-    if m - f < cfg.slow.mc / 2:
+    if m - f < cfg.slow.mc / 2 and m - f <= f:
         f = m
-    elif f < cfg.fast.mc / 2:
+    elif f < cfg.fast.mc / 2 and f <= m - f:
         f = 0
     return Loop3Split((0, f), (f, m))
 
@@ -169,6 +171,30 @@ def _lane_loop3(a, c, bpack, kk, ke, jj, je, lo, hi, mc):
         _macro_kernel(c[ii:ie, jj:je], apack, bpack, ii)
 
 
+def _dual_lane(slow, fast) -> None:
+    """Run slow() on a lane thread while fast() runs here.
+
+    Joins the lane before returning and re-raises a lane failure, so an
+    exception on either lane reaches the caller.
+    """
+    failure = []
+
+    def lane():
+        try:
+            slow()
+        except BaseException as exc:  # re-raised below, after the join
+            failure.append(exc)
+
+    t = threading.Thread(target=lane)
+    t.start()
+    try:
+        fast()
+    finally:
+        t.join()
+    if failure:
+        raise failure[0]
+
+
 def _align_to_slab(f: int, m: int) -> int:
     """Round a row split to the micro-panel grid (nearest multiple)."""
     return min(m, max(0, (f + MICRO_SLAB // 2) // MICRO_SLAB * MICRO_SLAB))
@@ -198,12 +224,9 @@ def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray,
             ke = min(kk + p.kc, k)
             bpack = pack_panel(b, slice(kk, ke), slice(jj, je))
             if shi > slo:
-                t = threading.Thread(
-                    target=_lane_loop3,
-                    args=(a, c, bpack, kk, ke, jj, je, slo, shi, cfg.slow.mc))
-                t.start()
-                _lane_loop3(a, c, bpack, kk, ke, jj, je, flo, fhi, cfg.fast.mc)
-                t.join()
+                lane = partial(_lane_loop3, a, c, bpack, kk, ke, jj, je)
+                _dual_lane(partial(lane, slo, shi, cfg.slow.mc),
+                           partial(lane, flo, fhi, cfg.fast.mc))
             else:
                 _lane_loop3(a, c, bpack, kk, ke, jj, je, flo, fhi, cfg.fast.mc)
     return c
@@ -254,15 +277,15 @@ def trsm_asym(u: np.ndarray, b: np.ndarray,
         raise ValueError(f"nonconformal trsm operands {u.shape} {b.shape}")
     split = split_loop3(b.shape[1], cfg)
     (flo, fhi), (slo, shi) = split.fast_range, split.slow_range
-    if shi > slo:
-        t = threading.Thread(target=trsm_blocked,
-                             args=(u, b[:, slo:shi], cfg.slow))
-        t.start()
+
+    def fast():
         if fhi > flo:
             trsm_blocked(u, b[:, flo:fhi], cfg.fast)
-        t.join()
-    elif fhi > flo:
-        trsm_blocked(u, b[:, flo:fhi], cfg.fast)
+
+    if shi > slo:
+        _dual_lane(lambda: trsm_blocked(u, b[:, slo:shi], cfg.slow), fast)
+    else:
+        fast()
     return b
 
 

@@ -8,9 +8,15 @@ Three scheduling policies are supported:
 * VC — one worker per fast+slow virtual-core pair, each task internally
   split across the pair by the asymmetric kernels.
 
-Dependency release uses indegree counters under a single lock; the last
-completing predecessor enqueues the successor. Trace events are recorded
-per worker without locks and merged after join.
+Scheduling state lives in one deterministic core, SchedulerCore: the
+indegree counters (the last completing predecessor enables a successor),
+the enable-event counter, the completion count and the two-heap
+ReadyPool. run() drives it from worker threads under one condition
+variable; the simulator in :mod:`ampsched.sim` drives the same core from
+its event loop, so both reach every decision through ReadyPool.select.
+A failure in any worker stops all workers and is re-raised by run() with
+the partial trace attached. Trace events are recorded per worker without
+locks and merged after join.
 """
 
 from __future__ import annotations
@@ -35,12 +41,25 @@ OBLIVIOUS = "oblivious"
 CATS = "cats"
 VC_POLICY = "vc"
 
+# Average per-task durations (ms) measured on the Exynos 5422 at block
+# size 448: fast = Cortex-A15 lane, slow = Cortex-A7 lane, vc = A15+A7
+# pair running the asymmetric kernels.
+TABLE3_MS = {
+    FAST: {TaskKind.G: 89.43, TaskKind.T: 48.27, TaskKind.S: 47.22,
+           TaskKind.C: 94.49},
+    SLOW: {TaskKind.G: 410.84, TaskKind.T: 216.70, TaskKind.S: 214.00,
+           TaskKind.C: 137.65},
+    VC: {TaskKind.G: 79.22, TaskKind.T: 42.99, TaskKind.S: 44.54,
+         TaskKind.C: 83.96},
+}
+
+TABLE3_BLOCK = 448
+
 
 @dataclass(frozen=True)
 class WorkerDescriptor:
     id: int
     resource: str  # FAST, SLOW or VC
-    pin: Optional[int] = None  # advisory core hint; no-op by default
 
 
 @dataclass(frozen=True)
@@ -107,18 +126,21 @@ class ReadyPool:
     Not thread-safe on its own; the runtime serializes access under its
     scheduler lock, the simulator is single-threaded.
 
-    CATS classifies tasks statically: a task is critical iff its bottom
-    level is at least threshold times the largest bottom level in the
-    whole DAG (longest-path membership, the criticality notion of the
-    criticality-aware scheduler this models). Critical tasks are reserved
-    for fast lanes; stealing relaxes the split in one or both directions.
+    Ready tasks sit in two heaps, non-critical and critical. FIFO policies
+    keep every task in the first, keyed by (enable event, id). CATS keys
+    both by (-bottom level, id) and classifies tasks statically: a task is
+    critical iff its bottom level is at least threshold times the largest
+    bottom level in the whole DAG (longest-path membership, the
+    criticality notion of the criticality-aware scheduler this models).
+    Critical tasks are reserved for fast lanes; stealing relaxes the split
+    in one or both directions.
     """
 
     def __init__(self, policy: Policy, priorities: Optional[list[float]] = None):
         self.policy = policy
         self.priorities = priorities
-        self._fifo: list[tuple[int, int]] = []  # (enable event, id) heap
-        self._ready: dict[int, float] = {}  # id -> bottom level
+        self._noncrit: list[tuple] = []
+        self._crit: list[tuple] = []
         self._cut = 0.0
         if policy.kind == CATS:
             if priorities is None:
@@ -126,71 +148,105 @@ class ReadyPool:
             self._cut = policy.cats_threshold * max(priorities, default=0.0)
 
     def __len__(self) -> int:
-        return len(self._ready)
+        return len(self._noncrit) + len(self._crit)
 
     def is_critical(self, task_id: int) -> bool:
         return self.priorities is not None and self.priorities[task_id] >= self._cut
 
     def push(self, task_id: int, event_seq: int) -> None:
-        bl = self.priorities[task_id] if self.priorities is not None else 0.0
-        self._ready[task_id] = bl
-        heapq.heappush(self._fifo, (event_seq, task_id))
+        if self.policy.kind != CATS:
+            heapq.heappush(self._noncrit, (event_seq, task_id))
+            return
+        bl = self.priorities[task_id]
+        heap = self._crit if bl >= self._cut else self._noncrit
+        heapq.heappush(heap, (-bl, task_id))
 
-    def _pop_fifo(self) -> Optional[int]:
-        while self._fifo:
-            _, tid = heapq.heappop(self._fifo)
-            if tid in self._ready:
-                del self._ready[tid]
-                return tid
+    def _allowed_heap(self, resource: str, idle_fast: int) -> Optional[list]:
+        """The nonempty heap a worker of this resource kind may take from.
+
+        OBLIVIOUS/VC take the FIFO heap. CATS serves fast lanes from the
+        critical heap and slow lanes from the non-critical one;
+        uni-directional stealing lets fast lanes drain the non-critical
+        heap, bi-directional stealing additionally lets a slow lane take
+        critical work when no fast worker is idle.
+        """
+        if self.policy.kind != CATS:
+            return self._noncrit or None
+        stealing = self.policy.stealing
+        if resource == FAST:
+            if self._crit:
+                return self._crit
+            return self._noncrit if self._noncrit and stealing != "none" else None
+        if self._noncrit:
+            return self._noncrit
+        if self._crit and stealing == "bi" and idle_fast == 0:
+            return self._crit
         return None
-
-    def _pop_best(self, candidates) -> Optional[int]:
-        # Highest bottom level first, ties by task id.
-        best = min(candidates, key=lambda t: (-self._ready[t], t), default=None)
-        if best is not None:
-            del self._ready[best]
-        return best
 
     def can_select(self, resource: str, idle_fast: int = 0) -> bool:
         """Whether select() would currently return a task; non-mutating."""
-        if not self._ready:
-            return False
-        if self.policy.kind != CATS:
-            return True
-        has_crit = any(bl >= self._cut for bl in self._ready.values())
-        has_noncrit = any(bl < self._cut for bl in self._ready.values())
-        if resource == FAST:
-            return has_crit or (has_noncrit
-                                and self.policy.stealing in ("uni", "bi"))
-        return has_noncrit or (has_crit and self.policy.stealing == "bi"
-                               and idle_fast == 0)
+        return self._allowed_heap(resource, idle_fast) is not None
 
     def select(self, resource: str, idle_fast: int = 0) -> Optional[int]:
-        """Pick the next task for an idle worker of the given resource kind.
+        """Pop the next task for an idle worker of the given resource kind.
 
-        OBLIVIOUS/VC pop in FIFO order of enabling, ties by task id. CATS
-        serves fast lanes from the critical queue and slow lanes from the
-        non-critical queue; uni-directional stealing lets fast lanes drain
-        the non-critical queue, bi-directional stealing additionally lets
-        a slow lane take critical work when no fast worker is idle.
+        FIFO policies pop in order of enabling, ties by task id; CATS pops
+        the highest bottom level of the allowed heap, ties by task id.
         """
-        if not self._ready:
-            return None
-        if self.policy.kind != CATS:
-            return self._pop_fifo()
-        crit = [t for t, bl in self._ready.items() if bl >= self._cut]
-        noncrit = [t for t, bl in self._ready.items() if bl < self._cut]
-        if resource == FAST:
-            if crit:
-                return self._pop_best(crit)
-            if self.policy.stealing in ("uni", "bi"):
-                return self._pop_best(noncrit)
-            return None
-        if noncrit:
-            return self._pop_best(noncrit)
-        if self.policy.stealing == "bi" and idle_fast == 0:
-            return self._pop_best(crit)
-        return None
+        heap = self._allowed_heap(resource, idle_fast)
+        return heapq.heappop(heap)[1] if heap is not None else None
+
+
+class SchedulerCore:
+    """The ready -> dispatch -> complete state run() and simulate() share.
+
+    Owns the indegree counters, the enable-event counter, the completion
+    count and the ready pool. Deterministic and not thread-safe: run()
+    calls it under its condition variable, simulate() from its event loop.
+    For CATS, bottom levels are computed from priority_cost.
+    """
+
+    def __init__(self, g: TaskGraph, policy: Policy,
+                 priority_cost: Optional[Callable[[Task], float]] = None):
+        self.g = g
+        priorities = None
+        if policy.kind == CATS:
+            if priority_cost is None:
+                raise ValueError("CATS requires a priority cost")
+            priorities = bottom_levels(g, priority_cost)
+        self.pool = ReadyPool(policy, priorities)
+        self.indegree = list(g.indegree)
+        self.event_seq = 0
+        self.completed = 0
+        for tid, deg in enumerate(self.indegree):
+            if deg == 0:
+                self.pool.push(tid, 0)
+
+    @property
+    def done(self) -> bool:
+        return self.completed == len(self.g.tasks)
+
+    def select(self, resource: str, idle_fast: int = 0) -> Optional[int]:
+        return self.pool.select(resource, idle_fast)
+
+    def complete(self, tid: int) -> None:
+        """Count tid as finished and enable the successors it released."""
+        self.completed += 1
+        self.event_seq += 1
+        for succ in self.g.successors[tid]:
+            self.indegree[succ] -= 1
+            if self.indegree[succ] == 0:
+                self.pool.push(succ, self.event_seq)
+
+    def stalled(self, resources, idle_fast: int) -> bool:
+        """Whether no worker of the given resource kinds may take any ready task.
+
+        Only meaningful when every worker is idle: then no completion is
+        in flight and nothing new can become ready, so the policy cannot
+        schedule the rest on this worker set (e.g. CATS without stealing
+        and no slow lane).
+        """
+        return not any(self.pool.can_select(r, idle_fast) for r in resources)
 
 
 def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
@@ -206,8 +262,7 @@ def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
 
 def default_priority_cost(b: int) -> Callable[[Task], float]:
     """Fast-core cost estimate used for CATS bottom levels."""
-    from .sim import TABLE3_MS  # local import to avoid a cycle
-    scale = (b / 448.0) ** 3
+    scale = (b / TABLE3_BLOCK) ** 3
     return lambda t: TABLE3_MS[FAST][t.kind] * scale
 
 
@@ -232,30 +287,20 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     if policy.kind == CATS and FAST not in kinds:
         raise ValueError("CATS requires at least one fast worker")
 
-    priorities = None
-    if policy.kind == CATS:
-        cost = priority_cost or default_priority_cost(bm.b)
-        priorities = bottom_levels(g, cost)
-
-    pool = ReadyPool(policy, priorities)
-    lock = threading.Lock()
-    cond = threading.Condition(lock)
-    indegree = list(g.indegree)
-    state = {"completed": 0, "event_seq": 1, "idle_fast": 0, "waiting": 0,
-             "error": None}
-    total = len(g.tasks)
-    for t in g.tasks:
-        if indegree[t.id] == 0:
-            pool.push(t.id, 0)
-
-    fast_single = lanes.fast
-    slow_single = lanes.slow
+    core = SchedulerCore(g, policy, priority_cost or default_priority_cost(bm.b))
+    cond = threading.Condition(threading.Lock())
+    state = {"idle_fast": 0, "waiting": 0, "error": None}
+    n_fast = sum(w.resource == FAST for w in workers)
 
     def body(task: Task, worker: WorkerDescriptor) -> None:
         blk = bm.blocks
         k, i, j = task.k, task.i, task.j
         if task_hook is not None:
             task_hook(task, worker)
+        # VC pairs split each call across both lanes; lane workers run
+        # the sequential kernel with their own lane's cache parameters.
+        vc = worker.resource == VC
+        p = lanes if vc else lanes.fast if worker.resource == FAST else lanes.slow
         if task.kind == TaskKind.C:
             try:
                 blk[k][k] = dense.ref_potrf(blk[k][k])
@@ -265,82 +310,57 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                     f"block ({k},{k}) not positive definite at local pivot "
                     f"{exc.index}") from exc
         elif task.kind == TaskKind.T:
-            if worker.resource == VC:
-                kernels.trsm_asym(blk[k][k], blk[k][j], lanes)
-            else:
-                p = fast_single if worker.resource == FAST else slow_single
-                kernels.trsm_blocked(blk[k][k], blk[k][j], p)
+            trsm = kernels.trsm_asym if vc else kernels.trsm_blocked
+            trsm(blk[k][k], blk[k][j], p)
         elif task.kind == TaskKind.S:
-            if worker.resource == VC:
-                kernels.syrk_asym(blk[k][i], blk[i][i], lanes)
-            else:
-                p = fast_single if worker.resource == FAST else slow_single
-                kernels.syrk_blocked(blk[k][i], blk[i][i], p)
+            syrk = kernels.syrk_asym if vc else kernels.syrk_blocked
+            syrk(blk[k][i], blk[i][i], p)
         else:  # TaskKind.G
-            if worker.resource == VC:
-                kernels.gemm_asym(blk[k][i], blk[k][j], blk[i][j], lanes)
-            else:
-                p = fast_single if worker.resource == FAST else slow_single
-                kernels.gemm_blocked(blk[k][i], blk[k][j], blk[i][j], p)
+            gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
+            gemm(blk[k][i], blk[k][j], blk[i][j], p)
 
     events_per_worker: dict[int, list[TraceEvent]] = {w.id: [] for w in workers}
 
+    def next_task(worker: WorkerDescriptor) -> Optional[int]:
+        # Called under cond; None means stop. A waiting worker that was
+        # just notified can still be counted in the wait set, so the stall
+        # test re-checks eligibility instead of trusting the count alone.
+        while state["error"] is None and not core.done:
+            tid = core.select(worker.resource, state["idle_fast"])
+            if tid is not None:
+                return tid
+            state["waiting"] += 1
+            if state["waiting"] == len(workers) and core.stalled(kinds, n_fast):
+                raise RuntimeError("scheduling stalled: no worker may take "
+                                   "any ready task under this policy")
+            fast = worker.resource == FAST
+            state["idle_fast"] += fast
+            cond.wait()
+            state["waiting"] -= 1
+            state["idle_fast"] -= fast
+        return None
+
     def worker_loop(worker: WorkerDescriptor) -> None:
         my_events = events_per_worker[worker.id]
-        while True:
-            with cond:
-                tid = None
-                while True:
-                    if state["error"] is not None or state["completed"] == total:
-                        return
-                    tid = pool.select(worker.resource, state["idle_fast"])
-                    if tid is not None:
-                        break
-                    # If every worker is in the wait set, no completion
-                    # is in flight and nothing new can become ready. If
-                    # additionally no worker kind may take any ready
-                    # task, the policy cannot schedule the rest on this
-                    # worker set (e.g. CATS without stealing and no slow
-                    # lane). A waiting worker that was just notified can
-                    # still be counted here, so re-verify eligibility
-                    # before declaring the stall.
-                    state["waiting"] += 1
-                    if state["waiting"] == len(workers):
-                        n_fast = sum(w.resource == FAST for w in workers)
-                        if not any(pool.can_select(kind, n_fast)
-                                   for kind in {w.resource for w in workers}):
-                            state["error"] = RuntimeError(
-                                "scheduling stalled: no worker may take "
-                                "any ready task under this policy")
-                            cond.notify_all()
-                            state["waiting"] -= 1
-                            return
-                    if worker.resource == FAST:
-                        state["idle_fast"] += 1
-                    cond.wait()
-                    state["waiting"] -= 1
-                    if worker.resource == FAST:
-                        state["idle_fast"] -= 1
-            task = g.tasks[tid]
-            start = time.perf_counter_ns()
-            try:
-                body(task, worker)
-            except Exception as exc:
+        try:
+            while True:
                 with cond:
-                    if state["error"] is None:
-                        state["error"] = exc
+                    tid = next_task(worker)
+                if tid is None:
+                    return
+                task = g.tasks[tid]
+                start = time.perf_counter_ns()
+                body(task, worker)
+                end = time.perf_counter_ns()
+                my_events.append(TraceEvent(worker.id, tid, task.kind.value,
+                                            task.k, task.i, task.j, start, end))
+                with cond:
+                    core.complete(tid)
                     cond.notify_all()
-                return
-            end = time.perf_counter_ns()
-            my_events.append(TraceEvent(worker.id, tid, task.kind.value,
-                                        task.k, task.i, task.j, start, end))
-            with cond:
-                state["completed"] += 1
-                state["event_seq"] += 1
-                for succ in g.successors[tid]:
-                    indegree[succ] -= 1
-                    if indegree[succ] == 0:
-                        pool.push(succ, state["event_seq"])
+        except BaseException as exc:  # run() re-raises it after the join
+            with cond:  # the first failure wins; wake every waiter to stop
+                if state["error"] is None:
+                    state["error"] = exc
                 cond.notify_all()
 
     wall_start = time.perf_counter_ns()

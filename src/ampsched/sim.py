@@ -2,9 +2,11 @@
 
 Replays a task graph under the same scheduling policies as the threaded
 runtime, with task durations taken from a cost model instead of measured.
-Time is integer nanoseconds; ready-task assignment within a simulation
-tick processes resources in ascending id order, so identical inputs give
-bitwise identical results.
+The event loop drives the runtime's own SchedulerCore, so dependency
+release, enable-event ordering and every ReadyPool decision are the same
+code the threads run. Time is integer nanoseconds; ready-task assignment
+within a simulation tick processes resources in ascending id order, so
+identical inputs give bitwise identical results.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
-                      ReadyPool, Trace, TraceEvent)
-from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels
+from .runtime import (CATS, FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, VC_POLICY,
+                      Policy, SchedulerCore, Trace, TraceEvent)
+from .taskgraph import Task, TaskGraph, TaskKind, critical_path
 
 GTS = "gts"
 VC_VIEW = "vc"
@@ -57,20 +59,6 @@ class MachineModel:
         return [Resource(i, VC, f[1] + s[1])
                 for i, (f, s) in enumerate(zip(fast, slow))]
 
-
-# Average per-task durations (ms) measured on the Exynos 5422 at block
-# size 448: fast = Cortex-A15 lane, slow = Cortex-A7 lane, vc = A15+A7
-# pair running the asymmetric kernels.
-TABLE3_MS = {
-    FAST: {TaskKind.G: 89.43, TaskKind.T: 48.27, TaskKind.S: 47.22,
-           TaskKind.C: 94.49},
-    SLOW: {TaskKind.G: 410.84, TaskKind.T: 216.70, TaskKind.S: 214.00,
-           TaskKind.C: 137.65},
-    VC: {TaskKind.G: 79.22, TaskKind.T: 42.99, TaskKind.S: 44.54,
-         TaskKind.C: 83.96},
-}
-
-TABLE3_BLOCK = 448
 
 # Fast/slow gemm throughput ratio implied by the table; used as the
 # default lane speed ratio elsewhere.
@@ -161,10 +149,6 @@ class SimResult:
         return self.makespan_ns / 1e9
 
 
-def _fastest_duration(task: Task, resources: list[Resource], cost) -> int:
-    return min(cost.duration_ns(task, r) for r in resources)
-
-
 def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
@@ -174,18 +158,9 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
     if policy.kind == CATS and not any(r.kind == FAST for r in resources):
         raise ValueError("CATS requires at least one fast resource")
 
-    priorities = None
-    if policy.kind == CATS:
-        fast_rs = [r for r in resources if r.kind == FAST]
-        priorities = bottom_levels(
-            g, lambda t: float(min(cost.duration_ns(t, r) for r in fast_rs)))
-
-    pool = ReadyPool(policy, priorities)
-    indegree = list(g.indegree)
-    event_seq = 0
-    for t in g.tasks:
-        if indegree[t.id] == 0:
-            pool.push(t.id, 0)
+    fast_rs = [r for r in resources if r.kind == FAST]
+    core = SchedulerCore(
+        g, policy, lambda t: float(min(cost.duration_ns(t, r) for r in fast_rs)))
 
     free = {r.id for r in resources}
     by_id = {r.id: r for r in resources}
@@ -194,15 +169,13 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
     events: list[TraceEvent] = []
     busy = {r.id: 0 for r in resources}
     now = 0
-    completed = 0
-    total = len(g.tasks)
 
-    while completed < total:
+    while not core.done:
         for rid in sorted(free):
             res = by_id[rid]
             idle_fast = sum(1 for r in free
                             if r != rid and by_id[r].kind == FAST)
-            tid = pool.select(res.kind, idle_fast)
+            tid = core.select(res.kind, idle_fast)
             if tid is None:
                 continue
             dur = cost.duration_ns(g.tasks[tid], res)
@@ -224,12 +197,7 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
                                      task.i, task.j, start_of[tid], finish))
             busy[rid] += finish - start_of[tid]
             free.add(rid)
-            completed += 1
-            event_seq += 1
-            for succ in g.successors[tid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    pool.push(succ, event_seq)
+            core.complete(tid)
 
     makespan = now
     trace = Trace(sorted(events, key=lambda e: (e.start_ns, e.worker)),
@@ -251,14 +219,9 @@ def lower_bounds(g: TaskGraph, machine: MachineModel, cost) -> tuple[int, int]:
     and no task runs faster than on its best resource).
     """
     resources = machine.resources()
-    dmin = {t.id: _fastest_duration(t, resources, cost) for t in g.tasks}
-    cp = 0
-    bl = [0] * len(g.tasks)
-    for t in reversed(g.tasks):
-        succ_max = max((bl[q] for q in g.successors[t.id]), default=0)
-        bl[t.id] = dmin[t.id] + succ_max
-        cp = max(cp, bl[t.id])
-    work = -(-sum(dmin.values()) // len(resources))
+    dmin = [min(cost.duration_ns(t, r) for r in resources) for t in g.tasks]
+    cp = int(critical_path(g, lambda t: dmin[t.id]))
+    work = -(-sum(dmin) // len(resources))
     return cp, work
 
 

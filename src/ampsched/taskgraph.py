@@ -37,7 +37,6 @@ class Task:
     j: int
     reads: frozenset
     writes: frozenset
-    priority: float = 0.0
 
     @property
     def target(self) -> tuple[int, int]:

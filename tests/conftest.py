@@ -1,8 +1,10 @@
-"""Shared test helpers: random DAG generation and acceptance reporting."""
+"""Shared test helpers: random DAG generation, timeouts and acceptance reporting."""
 
 import re
+import threading
 
 import numpy as np
+import pytest
 
 from ampsched.taskgraph import TaskGraph, TaskGraphBuilder, TaskKind
 
@@ -38,6 +40,30 @@ def check_trace_legality(g: TaskGraph, trace) -> None:
     for p, q in g.edges:
         assert end[p] <= start[q], f"edge ({p}, {q}) violated: " \
             f"pred ends {end[p]}, succ starts {start[q]}"
+
+
+def run_with_timeout(fn, timeout: float = 20.0):
+    """Call fn() in a daemon thread; fail the test if it has not returned in time.
+
+    Returns fn's result or re-raises its exception, so a hang regression
+    fails in seconds instead of blocking the whole suite.
+    """
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    if t.is_alive():
+        pytest.fail(f"call did not return within {timeout} s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
 
 
 # ---------------------------------------------------------------------------

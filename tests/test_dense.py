@@ -144,10 +144,3 @@ class TestBlockedMatrix:
         a = dense.make_spd(n, seed)
         np.testing.assert_array_equal(
             BlockedMatrix.from_matrix(a, b).assemble(), a)
-
-
-def test_csv_roundtrip(tmp_path):
-    a = dense.make_spd(5, 9)
-    path = tmp_path / "m.csv"
-    dense.save_csv(a, path)
-    np.testing.assert_array_equal(dense.load_csv(path), a)

@@ -128,6 +128,31 @@ class TestSyrkTrsm:
             trsm_blocked(u, np.ones((4, 3), order="F"))
 
 
+class TestLaneFailure:
+    def test_trsm_slow_lane_zero_pivot_raises(self):
+        # 1:9 speeds put every column on the slow lane thread.
+        cfg = LaneConfig(speed_fast=1.0, speed_slow=9.0)
+        assert split_loop3(100, cfg).fast_range == (0, 0)
+        u = np.asfortranarray(np.triu(rand((6, 6), 27) + np.eye(6)))
+        u[2, 2] = 0.0
+        with pytest.raises(dense.SingularTriangularError) as exc:
+            trsm_asym(u, rand((6, 100), 28), cfg)
+        assert exc.value.index == 2
+
+    def test_gemm_slow_lane_failure_raises(self, monkeypatch):
+        orig = kernels._lane_loop3
+
+        def lane(a, c, bpack, kk, ke, jj, je, lo, hi, mc):
+            if lo > 0:  # the slow lane owns the trailing rows
+                raise FloatingPointError("slow lane")
+            orig(a, c, bpack, kk, ke, jj, je, lo, hi, mc)
+
+        monkeypatch.setattr(kernels, "_lane_loop3", lane)
+        a, b, c = rand((8, 256), 29), rand((8, 8), 30), rand((256, 8), 31)
+        with pytest.raises(FloatingPointError, match="slow lane"):
+            gemm_asym(a, b, c)
+
+
 class TestPacking:
     def test_round_trip_is_bitwise(self):
         src = rand((37, 29), 27)
@@ -181,6 +206,12 @@ class TestSplitLoop3:
         s = split_loop3(100, cfg)  # fast share 10 < 64/2
         assert s.fast_range == (0, 0)
         assert s.slow_range == (0, 100)
+
+    def test_larger_share_is_never_folded(self):
+        # Fast share 74 is below half the fast mc (80) but is the larger one.
+        s = split_loop3(90, kernels.DEFAULT_LANES)
+        assert s.fast_range == (0, 74)
+        assert s.slow_range == (74, 90)
 
     def test_speed_slow_zero(self):
         s = split_loop3(10, LaneConfig(speed_slow=0.0))

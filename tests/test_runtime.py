@@ -1,19 +1,24 @@
 """Threaded execution: policies, legality, determinism, failure handling."""
 
+import itertools
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ampsched import dense, runtime
 from ampsched.dense import BlockedMatrix, NotPositiveDefiniteError
 from ampsched.kernels import DEFAULT_LANES, LaneConfig
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
-                              Policy, ReadyPool, Trace, TraceEvent,
-                              WorkerDescriptor, gflops, make_workers, run)
+                              Policy, ReadyPool, SchedulerCore, Trace,
+                              TraceEvent, WorkerDescriptor, gflops,
+                              make_workers, run)
 from ampsched.taskgraph import build_cholesky_dag
-from conftest import check_trace_legality
+from conftest import check_trace_legality, run_with_timeout
 
 POLICIES = [Policy(OBLIVIOUS), Policy(CATS), Policy(VC_POLICY)]
 
@@ -119,6 +124,23 @@ class TestJitteredLegality:
             check_trace_legality(g, trace)
             assert sorted(started) == list(range(len(g.tasks)))
 
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+    def test_stress_short_switch_interval(self, policy):
+        # More workers than cores and frequent thread switches; a lost
+        # indegree or completion update would drop or repeat a task, or hang.
+        a = dense.make_spd(24, seed=4)
+        g = build_cholesky_dag(8)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bm, trace = run_with_timeout(lambda: run(
+                g, BlockedMatrix.from_matrix(a, 3), policy,
+                make_workers(policy.kind, 6)))
+        finally:
+            sys.setswitchinterval(old)
+        check_trace_legality(g, trace)
+        assert dense.residual(a, bm.upper_factor()) < 1e-13
+
 
 class TestCatsRouting:
     def test_no_stealing_respects_queues(self):
@@ -191,6 +213,94 @@ class TestReadyPool:
             ReadyPool(Policy(CATS))
 
 
+def reference_select(policy, priorities, ready, resource, idle_fast):
+    """Brute-force selection rule over ready = {task id: enable event}.
+
+    FIFO policies take the smallest (event, id). CATS takes the highest
+    bottom level, ties by id, from the class the resource may use: fast
+    lanes the critical class, or the non-critical one when stealing; slow
+    lanes the non-critical class, or the critical one under bi-directional
+    stealing when no fast worker is idle.
+    """
+    if policy.kind != CATS:
+        return min(ready, key=lambda t: (ready[t], t), default=None)
+    cut = policy.cats_threshold * max(priorities)
+    crit = [t for t in ready if priorities[t] >= cut]
+    noncrit = [t for t in ready if priorities[t] < cut]
+    if resource == FAST:
+        allowed = crit or (noncrit if policy.stealing != "none" else [])
+    else:
+        allowed = noncrit or (crit if policy.stealing == "bi"
+                              and idle_fast == 0 else [])
+    return min(allowed, key=lambda t: (-priorities[t], t), default=None)
+
+
+class TestReadyPoolProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           kind=st.sampled_from([OBLIVIOUS, CATS, VC_POLICY]),
+           threshold=st.floats(0.0, 1.0),
+           stealing=st.sampled_from(["none", "uni", "bi"]),
+           priorities=st.lists(st.integers(0, 4).map(float)
+                               | st.floats(0.0, 100.0), min_size=1, max_size=12))
+    def test_matches_reference(self, data, kind, threshold, stealing, priorities):
+        policy = Policy(kind, cats_threshold=threshold, stealing=stealing)
+        pool = ReadyPool(policy, priorities)
+        unpushed = data.draw(st.permutations(range(len(priorities))))
+        steps = data.draw(st.lists(
+            st.tuples(st.booleans(), st.sampled_from([FAST, SLOW, VC]),
+                      st.sampled_from([0, 1]), st.integers(0, 1)),
+            max_size=40))
+        ready, event = {}, 0
+        for push, resource, idle_fast, bump in steps:
+            if push and unpushed:
+                tid = unpushed.pop()
+                event += bump
+                pool.push(tid, event)
+                ready[tid] = event
+            else:
+                expected = reference_select(policy, priorities, ready,
+                                            resource, idle_fast)
+                can = pool.can_select(resource, idle_fast)
+                got = pool.select(resource, idle_fast)
+                assert got == expected
+                assert can == (got is not None)
+                ready.pop(got, None)
+            assert len(pool) == len(ready)
+
+
+class TestSchedulerCore:
+    def test_sequential_drain_is_topological(self):
+        g = build_cholesky_dag(4)
+        core = SchedulerCore(g, Policy(OBLIVIOUS))
+        order = []
+        while not core.done:
+            tid = core.select(FAST)
+            assert tid is not None
+            order.append(tid)
+            core.complete(tid)
+        assert sorted(order) == list(range(len(g.tasks)))
+        pos = {t: n for n, t in enumerate(order)}
+        assert all(pos[p] < pos[q] for p, q in g.edges)
+        assert core.select(FAST) is None and len(core.pool) == 0
+
+    def test_stalled_when_no_kind_may_take_ready_work(self):
+        # Fast lanes alone, without stealing, run out of critical work.
+        g = build_cholesky_dag(4)
+        core = SchedulerCore(g, Policy(CATS, stealing="none"),
+                             runtime.default_priority_cost(4))
+        assert not core.stalled({FAST}, 1)
+        while (tid := core.select(FAST)) is not None:
+            core.complete(tid)
+        assert not core.done and len(core.pool) > 0
+        assert core.stalled({FAST}, 1)
+        assert not core.stalled({FAST, SLOW}, 1)
+
+    def test_cats_requires_priority_cost(self):
+        with pytest.raises(ValueError):
+            SchedulerCore(build_cholesky_dag(2), Policy(CATS))
+
+
 class TestErrorPropagation:
     def test_nonpositive_block_reports_global_index(self):
         n, b = 24, 8
@@ -209,6 +319,33 @@ class TestErrorPropagation:
         for p, q in g.edges:
             if q in done:
                 assert p in done and end[p] <= start[q]
+
+
+def fail_on_call(monkeypatch, method, n):
+    """Make ReadyPool.<method> raise on its n-th call."""
+    orig = getattr(ReadyPool, method)
+    calls = itertools.count(1)
+
+    def failing(self, *args):
+        if next(calls) == n:
+            raise RuntimeError(f"injected {method} failure")
+        return orig(self, *args)
+
+    monkeypatch.setattr(ReadyPool, method, failing)
+
+
+class TestFailLoudWorkers:
+    @pytest.mark.parametrize("method,call", [("select", 5), ("push", 3)])
+    def test_scheduler_failure_is_raised_with_trace(self, monkeypatch,
+                                                    method, call):
+        g = build_cholesky_dag(4)
+        bm = BlockedMatrix.from_matrix(dense.make_spd(16, 1), 4)
+        fail_on_call(monkeypatch, method, call)
+        with pytest.raises(RuntimeError, match=f"injected {method}") as exc:
+            run_with_timeout(lambda: run(g, bm, Policy(OBLIVIOUS),
+                                         make_workers(OBLIVIOUS, 2)))
+        assert isinstance(exc.value.trace, Trace)
+        assert len(exc.value.trace.events) < len(g.tasks)
 
 
 class TestTrace:
