@@ -1,9 +1,10 @@
 """Dual-lane GEMM: split one kernel call across a fast and a slow lane.
 
 The row dimension of C := C - A^T B is divided between two threads in
-proportion to their speeds. Because micro-panels are cut on a fixed
-absolute row grid, the dual-lane result is bitwise identical to the
-single-lane one -- the split changes who computes each panel, never how.
+proportion to their speeds, at a cut on the 32-row slab grid. Each slab is
+one BLAS call on the same operands whichever lane runs it, so the
+dual-lane result is bitwise identical to the single-lane one -- the split
+changes who computes each slab, never how.
 
 Also runs the crossover probe: below some matrix size the second lane's
 synchronization overhead outweighs its contribution.

@@ -1,19 +1,18 @@
 """Task-parallel blocked Cholesky with asymmetric-multicore scheduling.
 
 A dense linear algebra scheduling laboratory: a dependency-tracked task
-DAG for the blocked Cholesky factorization, cache-blocked BLAS-3 kernels
-with a fast+slow dual-lane variant, a threaded runtime with three
-scheduling policies, and a deterministic simulator of an asymmetric
-big.LITTLE machine.
+DAG for the blocked Cholesky factorization, BLAS-3 kernels on an absolute
+slab grid with a fast+slow dual-lane variant, a threaded runtime with
+three scheduling policies, and a deterministic simulator of an
+asymmetric big.LITTLE machine.
 """
 
 from .dense import (BlockedMatrix, NotPositiveDefiniteError,
                     SingularTriangularError, make_spd, ref_gemm, ref_potrf,
                     ref_syrk, ref_trsm, residual)
-from .kernels import (DEFAULT_LANES, FAST_PARAMS, SLOW_PARAMS, CacheParams,
-                      LaneConfig, Loop3Split, gemm_asym, gemm_blocked,
-                      kernel_crossover_probe, split_loop3, syrk_asym,
-                      syrk_blocked, trsm_asym, trsm_blocked)
+from .kernels import (DEFAULT_LANES, LaneConfig, Loop3Split, gemm_asym,
+                      gemm_blocked, kernel_crossover_probe, split_loop3,
+                      syrk_asym, syrk_blocked, trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
                       Trace, TraceEvent, WorkerDescriptor, gflops,
                       make_workers, run)

@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from . import dense, runtime, sim, taskgraph
-from .kernels import DEFAULT_LANES
 from .runtime import Policy, Trace, gflops, make_workers
 from .taskgraph import TaskKind, build_cholesky_dag, export_dot, to_json
 
@@ -93,7 +92,7 @@ def cmd_bench(args) -> int:
         for _ in range(reps):
             bm = dense.BlockedMatrix.from_matrix(a, b)
             t0 = time.perf_counter()
-            bm, _trace = runtime.run(g, bm, policy, descs, DEFAULT_LANES)
+            bm, _trace = runtime.run(g, bm, policy, descs)
             elapsed = time.perf_counter() - t0
             resid = dense.residual(a, bm.upper_factor())
             if resid > tol:
@@ -121,10 +120,6 @@ def cmd_bench(args) -> int:
 def cmd_simulate(args) -> int:
     if args.machine != "exynos5422":
         raise SystemExit(f"unknown machine {args.machine!r}")
-    if args.policy == runtime.VC_POLICY and args.view != sim.VC_VIEW:
-        raise SystemExit("the vc policy requires --view vc")
-    if args.policy != runtime.VC_POLICY and args.view == sim.VC_VIEW:
-        raise SystemExit(f"the {args.policy} policy requires --view gts")
     if not 1 <= args.b <= args.n:
         raise SystemExit("need n >= b >= 1")
     machine, table_cost = sim.preset_exynos5422(args.view, args.b)

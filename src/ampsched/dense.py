@@ -2,7 +2,7 @@
 
 Matrices are plain float64 numpy arrays in column-major (Fortran) order.
 The reference kernels here are deliberately simple per-element routines:
-they act as independent oracles for the cache-blocked kernels in
+they act as independent oracles for the slab-blocked kernels in
 :mod:`ampsched.kernels` and as the diagonal-block factorization used by the
 runtime.
 """
@@ -150,7 +150,9 @@ class BlockedMatrix:
 
     Tiles are contiguous Fortran-order copies so that concurrent kernel
     lanes touch disjoint memory. The last tile row/column may be ragged
-    when b does not divide n.
+    when b does not divide n. The factorization reads only the upper
+    triangle, as LAPACK does with uplo 'U': tiles below the diagonal and
+    the strictly lower part of diagonal tiles are never consumed.
     """
 
     def __init__(self, n: int, b: int, blocks: list[list[np.ndarray]]):

@@ -273,9 +273,11 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         ) -> tuple[BlockedMatrix, Trace]:
     """Execute every task of g exactly once over bm's blocks.
 
-    Returns the factored matrix (upper blocks hold U) and the trace. A
-    non-positive-definite diagonal block aborts outstanding work and the
-    raised error carries the partial trace.
+    Returns the factored matrix (upper blocks hold U) and the trace. Only
+    the upper triangle of bm is read, as LAPACK does with uplo 'U'. A
+    non-positive-definite diagonal block, a NaN included, aborts
+    outstanding work and the raised error carries the global pivot index
+    and the partial trace.
     """
     if not workers:
         raise ValueError("at least one worker is required")
@@ -298,9 +300,9 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         if task_hook is not None:
             task_hook(task, worker)
         # VC pairs split each call across both lanes; lane workers run
-        # the sequential kernel with their own lane's cache parameters.
+        # the sequential kernel.
         vc = worker.resource == VC
-        p = lanes if vc else lanes.fast if worker.resource == FAST else lanes.slow
+        lane_args = (lanes,) if vc else ()
         if task.kind == TaskKind.C:
             try:
                 blk[k][k] = dense.ref_potrf(blk[k][k])
@@ -311,13 +313,13 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                     f"{exc.index}") from exc
         elif task.kind == TaskKind.T:
             trsm = kernels.trsm_asym if vc else kernels.trsm_blocked
-            trsm(blk[k][k], blk[k][j], p)
+            trsm(blk[k][k], blk[k][j], *lane_args)
         elif task.kind == TaskKind.S:
             syrk = kernels.syrk_asym if vc else kernels.syrk_blocked
-            syrk(blk[k][i], blk[i][i], p)
+            syrk(blk[k][i], blk[i][i], *lane_args)
         else:  # TaskKind.G
             gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
-            gemm(blk[k][i], blk[k][j], blk[i][j], p)
+            gemm(blk[k][i], blk[k][j], blk[i][j], *lane_args)
 
     events_per_worker: dict[int, list[TraceEvent]] = {w.id: [] for w in workers}
 

@@ -15,7 +15,7 @@ import pytest
 from ampsched import dense, kernels, sim
 from ampsched.cli import BENCH_FIELDS, main as cli_main
 from ampsched.dense import BlockedMatrix
-from ampsched.kernels import (CacheParams, LaneConfig, gemm_asym,
+from ampsched.kernels import (LaneConfig, gemm_asym,
                               gemm_blocked, syrk_asym, syrk_blocked,
                               trsm_asym, trsm_blocked)
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, VC_POLICY, Policy,
@@ -108,24 +108,28 @@ def test_criterion_3_schedule_legality_fuzz():
 
 def test_criterion_4_kernel_equivalence():
     """Blocked and dual-lane kernels match naive oracles within
-    8*eps*k*max|entry| over a cache-parameter sweep; the dual-lane kernel
-    with a disabled slow lane is bitwise equal to the sequential one."""
+    8*eps*k*max|entry| over a lane speed-ratio sweep, bitwise equal to the
+    sequential kernel at every ratio; the dual-lane kernel with a disabled
+    slow lane is bitwise equal to the sequential one."""
     rng = np.random.default_rng(7)
 
     def fa(shape):
         return np.asfortranarray(rng.random(shape))
 
-    sweep = [CacheParams(mc, nc, kc)
-             for mc in (1, 3, 32, 64) for nc in (1, 7, 64) for kc in (1, 5, 64)]
+    sweep = [LaneConfig(speed_fast=sf, speed_slow=ss)
+             for sf in (0.5, 1.0, 2.0, 4.59) for ss in (0.0, 1.0, 9.0)]
     shapes = [(1, 1, 1), (5, 3, 7), (33, 17, 64), (64, 64, 64)]
     for m, n, k in shapes:
         a, b, c0 = fa((k, m)), fa((k, n)), fa((m, n))
         ref = dense.ref_gemm(a, b, c0)
         bound = 8 * EPS * max(k, 1) * max(np.abs(a).max(), np.abs(b).max(),
                                           np.abs(c0).max(), 1.0)
+        seq = gemm_blocked(a, b, c0.copy(order="F"))
+        assert np.abs(seq - ref).max() <= bound, (m, n, k)
         for p in sweep:
-            out = gemm_blocked(a, b, c0.copy(order="F"), p)
+            out = gemm_asym(a, b, c0.copy(order="F"), p)
             assert np.abs(out - ref).max() <= bound, (p, m, n, k)
+            np.testing.assert_array_equal(out, seq)
         dual = gemm_asym(a, b, c0.copy(order="F"))
         assert np.abs(dual - ref).max() <= bound, (m, n, k)
         # syrk against its oracle
@@ -151,7 +155,7 @@ def test_criterion_4_kernel_equivalence():
     for m, n, k in [(1, 1, 1), (48, 40, 30), (64, 64, 64)]:
         a, b, c0 = fa((k, m)), fa((k, n)), fa((m, n))
         cfg = LaneConfig(speed_slow=0.0)
-        seq = gemm_blocked(a, b, c0.copy(order="F"), cfg.fast)
+        seq = gemm_blocked(a, b, c0.copy(order="F"))
         dual = gemm_asym(a, b, c0.copy(order="F"), cfg)
         np.testing.assert_array_equal(dual, seq)
 

@@ -104,13 +104,13 @@ class TestSimulate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
-    def test_vc_policy_needs_vc_view(self):
-        with pytest.raises(SystemExit):
-            cli.main(["simulate", "--n", "896", "--b", "448",
-                      "--policy", "vc", "--view", "gts"])
-        with pytest.raises(SystemExit):
-            cli.main(["simulate", "--n", "896", "--b", "448",
-                      "--policy", "cats", "--view", "vc"])
+    def test_vc_policy_needs_vc_view(self, capsys):
+        for policy, view in (("vc", "gts"), ("cats", "vc")):
+            rc = cli.main(["simulate", "--n", "896", "--b", "448",
+                           "--policy", policy, "--view", view])
+            assert rc == 1, (policy, view)
+            assert "error: VC policy requires the VC machine view" \
+                in capsys.readouterr().err
 
     def test_vc_view_runs(self, tmp_path):
         out = tmp_path / "vc.csv"

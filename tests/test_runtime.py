@@ -93,6 +93,24 @@ class TestFactorization:
                     baseline = blob
                 assert blob == baseline
 
+    @pytest.mark.parametrize("n,b", [(22, 4), (100, 33), (200, 90)])
+    def test_factor_bitwise_identical_across_lane_ratios(self, n, b):
+        # Tile sizes off the 32-row grid, each with a ragged last tile.
+        a = dense.make_spd(n, seed=3)
+        g = build_cholesky_dag(-(-n // b))
+        _, _, bm, _ = factor(n, b, Policy(OBLIVIOUS), 1, seed=3)
+        baseline = bm.upper_factor().tobytes()
+        for lanes in (LaneConfig(speed_slow=0.0), LaneConfig(1.0, 9.0),
+                      LaneConfig(2.0, 1.0), DEFAULT_LANES):
+            for nworkers in (1, 2):
+                bm, _ = run(g, BlockedMatrix.from_matrix(a, b),
+                            Policy(VC_POLICY),
+                            make_workers(VC_POLICY, nworkers), lanes)
+                assert bm.upper_factor().tobytes() == baseline, (lanes, nworkers)
+        for policy in POLICIES:
+            _, _, bm, _ = factor(n, b, policy, 8, seed=3)
+            assert bm.upper_factor().tobytes() == baseline
+
     def test_ragged_blocks(self):
         a, g, bm, trace = factor(50, 16, Policy(OBLIVIOUS), 2)
         assert dense.residual(a, bm.upper_factor()) < 1e-13
@@ -319,6 +337,29 @@ class TestErrorPropagation:
         for p, q in g.edges:
             if q in done:
                 assert p in done and end[p] <= start[q]
+
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+    @pytest.mark.parametrize("row,col", [(0, 63), (5, 40), (20, 20)])
+    def test_nan_input_reports_global_pivot(self, policy, row, col):
+        a = dense.make_spd(64, 1)
+        a[row, col] = np.nan  # upper triangle; the pivot of column col fails
+        g = build_cholesky_dag(4)
+        bm = BlockedMatrix.from_matrix(a, 16)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            run_with_timeout(lambda: run(g, bm, policy,
+                                         make_workers(policy.kind, 4)))
+        assert exc.value.index == col
+        assert isinstance(exc.value.trace, Trace)
+
+    def test_lower_triangle_is_not_read(self):
+        a = dense.make_spd(64, 1)
+        clean = factor(64, 16, Policy(OBLIVIOUS), 2)[2].upper_factor()
+        a[63, 0] = a[40, 5] = a[25, 20] = np.nan
+        bm = BlockedMatrix.from_matrix(a, 16)
+        bm, _ = run(build_cholesky_dag(4), bm, Policy(VC_POLICY),
+                    make_workers(VC_POLICY, 2))
+        np.testing.assert_array_equal(bm.upper_factor(), clean)
 
 
 def fail_on_call(monkeypatch, method, n):
