@@ -6,8 +6,9 @@ one BLAS call on the same operands whichever lane runs it, so the
 dual-lane result is bitwise identical to the single-lane one -- the split
 changes who computes each slab, never how.
 
-Also runs the crossover probe: below some matrix size the second lane's
-synchronization overhead outweighs its contribution.
+Also runs the crossover probe, with one lane pair held across all sizes as
+on a VC worker: below some matrix size, handing the slow lane its share
+and waiting for it costs more than the lane contributes.
 """
 
 import numpy as np

@@ -2,29 +2,42 @@
 
 Every kernel is a loop of BLAS calls, one per MICRO_SLAB-wide slab of
 the output: gemm and syrk update C one 32-row slab at a time with one
-``np.dot`` each, and trsm solves B one 32-column slab at a time with one
-``dtrsm`` each. Slabs are cut on the absolute grid of the output block
-(rows or columns 0, 32, 64, ...), and each slab is always computed by the
-same call on operands of the same shape and layout.
+``np.dot`` each, and trsm solves B in place one 32-column slab at a time
+with one ``dtrsm`` each. Slabs are cut on the absolute grid of the output
+block (rows or columns 0, 32, 64, ...), and each slab is always computed
+by the same call on operands of the same shape and layout.
+
+Both BLAS calls release the GIL while they run: ``np.dot`` does so
+itself, and ``dtrsm`` is scipy's own BLAS routine called through ctypes
+(the f2py wrapper in ``scipy.linalg.blas`` holds the GIL). So the two
+lanes of a dual-lane call, and the workers of a threaded run, compute at
+the same time.
 
 The dual-lane (fast+slow) variants split the row or column space between
-two threads with split_loop3, whose cut always lies on that grid. A split
-therefore changes which lane computes a slab, never how it is computed, so
-the asymmetric kernels are bitwise identical to the sequential ones and
-the factorization is bitwise independent of the schedule. Nothing relies
-on a BLAS call giving the same bits when it is cut at a different place.
+the calling thread and a persistent slow-lane thread (LanePair) with
+split_loop3, whose cut always lies on that grid. A split therefore
+changes which lane computes a slab, never how it is computed, so the
+asymmetric kernels are bitwise identical to the sequential ones and the
+factorization is bitwise independent of the schedule. Nothing relies on
+a BLAS call giving the same bits when it is cut at a different place.
+Inside ``lane_pair()`` every dual-lane call of the thread reuses one
+pair; outside it, a call makes a pair for itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import threading
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import blas
+import scipy
+from scipy.linalg import cython_blas
 
 from .dense import SingularTriangularError
 
@@ -78,56 +91,193 @@ def split_loop3(m: int, lanes: LaneConfig = DEFAULT_LANES) -> Loop3Split:
     return Loop3Split((0, cut), (cut, m))
 
 
+def _capsule_pointer(capsule) -> int:
+    """The address a PyCapsule (a Cython ``__pyx_capi__`` entry) wraps."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+    return pointer(capsule, name(capsule))
+
+
+# scipy's nogil dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b,
+# ldb), LP64 int. A CFUNCTYPE call releases the GIL while it runs. Every
+# argument is passed as an address.
+_dtrsm = ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * 4, *[ctypes.c_void_p] * 7)(
+    _capsule_pointer(cython_blas.__pyx_capi__["dtrsm"]))
+_ONE = ctypes.c_double(1.0)  # alpha; only ever read
+_ONE_P = ctypes.addressof(_ONE)
+
+
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of numpy's and scipy's OpenBLAS.
+
+    Each wheel bundles its own OpenBLAS under ``numpy.libs``/``scipy.libs``
+    with its own thread pool. A library without the
+    ``scipy_openblas_{get,set}_num_threads[64_]`` symbols is left out.
+    """
+    controls = []
+    for mod in (np, scipy):
+        libs = Path(mod.__file__).parent.parent / f"{mod.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+# The thread counts are process-wide, so one hold is shared by every
+# thread: the first holder saves the counts and sets them to one, the last
+# restores them.
+_hold_lock = threading.Lock()
+_hold = {"depth": 0, "saved": []}
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Hold numpy's and scipy's OpenBLAS pools at one thread each.
+
+    Worker threads each call BLAS, so a threaded BLAS call would only
+    compete with the other workers for the same cores. On exit the counts
+    found on entry are restored.
+    """
+    with _hold_lock:
+        if _hold["depth"] == 0:
+            controls = _openblas_thread_controls()
+            _hold["saved"] = [(put, get()) for get, put in controls]
+            for _, put in controls:
+                put(1)
+        _hold["depth"] += 1
+    try:
+        yield
+    finally:
+        with _hold_lock:
+            _hold["depth"] -= 1
+            if _hold["depth"] == 0:
+                for put, count in _hold["saved"]:
+                    put(count)
+
+
 def _gemm_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
                lo: int, hi: int) -> None:
     # C[lo:hi] -= A[:, lo:hi]^T B, one np.dot per slab; lo is on the grid.
-    # np.dot releases the GIL during the BLAS call; scipy's dgemm wrapper
-    # holds it, which stalls the other workers on tiny tiles.
+    # The product is formed as (B^T A[:, s:e])^T, an F-order view, so the
+    # subtraction walks C's F-order row slab along its columns. np.dot
+    # releases the GIL and costs less per tiny call than dgemm via ctypes.
     for s in range(lo, hi, MICRO_SLAB):
         e = min(s + MICRO_SLAB, hi)
-        c[s:e] -= np.dot(a[:, s:e].T, b)
+        c[s:e] -= np.dot(b.T, a[:, s:e]).T
 
 
 def _trsm_cols(u: np.ndarray, b: np.ndarray, lo: int, hi: int) -> None:
-    # Solve U^T X = B on columns [lo, hi), one dtrsm per slab, in place.
-    # Like every scipy BLAS wrapper, dtrsm holds the GIL while it runs.
+    # Solve U^T X = B on columns [lo, hi) in place, one dtrsm('L', 'U',
+    # 'T', 'N') per slab. U and B are Fortran-contiguous float64 (see
+    # _check_trsm), so slab s starts ld * s doubles into B.
+    n = b.shape[0]
+    rows, ld, width = ctypes.c_int(n), ctypes.c_int(max(n, 1)), ctypes.c_int()
+    rows_p, ld_p, width_p = map(ctypes.addressof, (rows, ld, width))
+    u_p, b_p = u.ctypes.data, b.ctypes.data
     for s in range(lo, hi, MICRO_SLAB):
-        e = min(s + MICRO_SLAB, hi)
-        b[:, s:e] = blas.dtrsm(1.0, u, b[:, s:e], trans_a=1)
+        width.value = min(s + MICRO_SLAB, hi) - s
+        _dtrsm(b"L", b"U", b"T", b"N", rows_p, width_p, _ONE_P,
+               u_p, ld_p, b_p + 8 * ld.value * s, ld_p)
 
 
-def _dual_lane(slow, fast) -> None:
-    """Run slow() on a lane thread while fast() runs here.
+class LanePair:
+    """A persistent slow-lane thread beside the thread that owns the pair.
 
-    Joins the lane before returning and re-raises a lane failure, so an
-    exception on either lane reaches the caller.
+    run(slow, fast) hands slow() to the lane thread, runs fast() on the
+    calling thread and returns once both have finished; a lane failure is
+    re-raised on the caller. Work goes to the lane and back through two
+    semaphores, so no thread is started per call. close() stops and joins
+    the lane thread. Only the owning thread may call run().
     """
-    failure = []
 
-    def lane():
+    def __init__(self):
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._work = None
+        self._failure: BaseException | None = None
+        self._thread = threading.Thread(target=self._serve, name="slow-lane",
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            work = self._work
+            if work is None:
+                return
+            try:
+                work()
+            except BaseException as exc:  # re-raised by run() on the owner
+                self._failure = exc
+            self._done.release()
+
+    def run(self, slow, fast) -> None:
+        self._work, self._failure = slow, None
+        self._go.release()
         try:
-            slow()
-        except BaseException as exc:  # re-raised below, after the join
-            failure.append(exc)
+            fast()
+        finally:
+            self._done.acquire()  # the lane has finished before we return
+        failure, self._failure = self._failure, None
+        if failure is not None:
+            raise failure
 
-    t = threading.Thread(target=lane)
-    t.start()
-    try:
-        fast()
-    finally:
-        t.join()
-    if failure:
-        raise failure[0]
+    def close(self) -> None:
+        self._work = None
+        self._go.release()
+        self._thread.join()
+
+    def __enter__(self) -> "LanePair":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+_owned = threading.local()  # .pair: the LanePair lane_pair() gave this thread
+
+
+@contextlib.contextmanager
+def lane_pair():
+    """Give the calling thread one LanePair for all its dual-lane calls.
+
+    The pair is closed and its thread joined on exit, whether or not the
+    body raised.
+    """
+    outer = getattr(_owned, "pair", None)
+    with LanePair() as pair:
+        _owned.pair = pair
+        try:
+            yield pair
+        finally:
+            _owned.pair = outer
 
 
 def _run_lanes(m: int, lanes: LaneConfig, run_range) -> None:
     """Run run_range(lo, hi) over [0, m) split between the two lanes."""
     split = split_loop3(m, lanes)
     fast = partial(run_range, *split.fast_range)
-    if split.slow_range[1] > split.slow_range[0]:
-        _dual_lane(partial(run_range, *split.slow_range), fast)
-    else:
+    if split.slow_range[1] == split.slow_range[0]:
         fast()
+        return
+    slow = partial(run_range, *split.slow_range)
+    held = getattr(_owned, "pair", None)
+    with contextlib.nullcontext(held) if held else LanePair() as pair:
+        pair.run(slow, fast)
 
 
 def _check_gemm_shapes(a, b, c) -> int:
@@ -167,22 +317,33 @@ def syrk_asym(a: np.ndarray, c: np.ndarray,
     return gemm_asym(a, a, c, lanes)
 
 
-def _check_trsm(u: np.ndarray, b: np.ndarray) -> None:
+def _check_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Validate trsm operands; returns U as a Fortran-contiguous float64 array.
+
+    B is solved in place by BLAS, so it must already be a writable
+    Fortran-contiguous float64 array.
+    """
     n = u.shape[0]
     if u.shape[1] != n or b.shape[0] != n:
         raise ValueError(f"nonconformal trsm operands {u.shape} {b.shape}")
+    if (b.dtype != np.float64 or not b.flags.f_contiguous
+            or not b.flags.writeable):
+        raise ValueError("trsm solves B in place: B must be a writable "
+                         "Fortran-contiguous float64 array")
     zeros = np.flatnonzero(np.diagonal(u) == 0.0)
     if zeros.size:
         raise SingularTriangularError(int(zeros[0]))
+    return np.asfortranarray(u, dtype=np.float64)
 
 
 def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve U^T X = B in place, U upper triangular. Returns B.
 
-    A zero on U's diagonal raises SingularTriangularError before B is
-    written.
+    B must be a writable Fortran-contiguous float64 array; U may have any
+    layout. A zero on U's diagonal raises SingularTriangularError before
+    B is written.
     """
-    _check_trsm(u, b)
+    u = _check_trsm(u, b)
     _trsm_cols(u, b, 0, b.shape[1])
     return b
 
@@ -191,9 +352,9 @@ def trsm_asym(u: np.ndarray, b: np.ndarray,
               lanes: LaneConfig = DEFAULT_LANES) -> np.ndarray:
     """Dual-lane triangular solve; B's columns are split as in gemm_asym.
 
-    Bitwise identical to trsm_blocked.
+    Bitwise identical to trsm_blocked, with the same operand rules.
     """
-    _check_trsm(u, b)
+    u = _check_trsm(u, b)
     _run_lanes(b.shape[1], lanes, partial(_trsm_cols, u, b))
     return b
 
@@ -202,34 +363,38 @@ def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
                            seed: int = 0) -> list[dict]:
     """Time sequential vs dual-lane gemm at square sizes.
 
-    Host-dependent wall-clock measurements; the deterministic analogue on
-    a modeled machine lives in :func:`ampsched.sim.simulated_kernel_times`.
+    The dual-lane calls share one lane pair held across all sizes, as on
+    a VC worker, so asym_seconds includes the lane handoff but no thread
+    start. Host-dependent wall-clock measurements; the deterministic
+    analogue on a modeled machine lives in
+    :func:`ampsched.sim.simulated_kernel_times`.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
     rng = np.random.default_rng(seed)
     rows = []
-    for sz in sizes:
-        a = np.asfortranarray(rng.random((sz, sz)))
-        b = np.asfortranarray(rng.random((sz, sz)))
-        c0 = np.asfortranarray(rng.random((sz, sz)))
-        c = np.array(c0, order="F")
-        t0 = time.perf_counter()
-        gemm_blocked(a, b, c)
-        seq = time.perf_counter() - t0
-        c = np.array(c0, order="F")
-        t0 = time.perf_counter()
-        gemm_asym(a, b, c, lanes)
-        asym = time.perf_counter() - t0
-        flops = 2.0 * sz ** 3
-        rows.append({
-            "size": sz,
-            "flops": flops,
-            "seq_seconds": seq,
-            "asym_seconds": asym,
-            "seq_gflops": flops / seq / 1e9,
-            "asym_gflops": flops / asym / 1e9,
-        })
+    with lane_pair():
+        for sz in sizes:
+            a = np.asfortranarray(rng.random((sz, sz)))
+            b = np.asfortranarray(rng.random((sz, sz)))
+            c0 = np.asfortranarray(rng.random((sz, sz)))
+            c = np.array(c0, order="F")
+            t0 = time.perf_counter()
+            gemm_blocked(a, b, c)
+            seq = time.perf_counter() - t0
+            c = np.array(c0, order="F")
+            t0 = time.perf_counter()
+            gemm_asym(a, b, c, lanes)
+            asym = time.perf_counter() - t0
+            flops = 2.0 * sz ** 3
+            rows.append({
+                "size": sz,
+                "flops": flops,
+                "seq_seconds": seq,
+                "asym_seconds": asym,
+                "seq_gflops": flops / seq / 1e9,
+                "asym_gflops": flops / asym / 1e9,
+            })
     return rows
 
 

@@ -14,13 +14,16 @@ the enable-event counter, the completion count and the two-heap
 ReadyPool. run() drives it from worker threads under one condition
 variable; the simulator in :mod:`ampsched.sim` drives the same core from
 its event loop, so both reach every decision through ReadyPool.select.
-A failure in any worker stops all workers and is re-raised by run() with
-the partial trace attached. Trace events are recorded per worker without
-locks and merged after join.
+Each VC worker keeps one slow-lane thread (kernels.lane_pair) for the
+whole run, and numpy's and scipy's OpenBLAS pools are held at one thread
+while the workers run. A failure in any worker stops all workers and is
+re-raised by run() with the partial trace attached. Trace events are
+recorded per worker without locks and merged after join.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
 import threading
@@ -344,21 +347,26 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
 
     def worker_loop(worker: WorkerDescriptor) -> None:
         my_events = events_per_worker[worker.id]
+        # A VC worker keeps one slow-lane thread for the whole run; the
+        # pair is joined when the loop ends, failed or not.
+        lane_scope = (kernels.lane_pair() if worker.resource == VC
+                      else contextlib.nullcontext())
         try:
-            while True:
-                with cond:
-                    tid = next_task(worker)
-                if tid is None:
-                    return
-                task = g.tasks[tid]
-                start = time.perf_counter_ns()
-                body(task, worker)
-                end = time.perf_counter_ns()
-                my_events.append(TraceEvent(worker.id, tid, task.kind.value,
-                                            task.k, task.i, task.j, start, end))
-                with cond:
-                    core.complete(tid)
-                    cond.notify_all()
+            with lane_scope:
+                while True:
+                    with cond:
+                        tid = next_task(worker)
+                    if tid is None:
+                        return
+                    task = g.tasks[tid]
+                    start = time.perf_counter_ns()
+                    body(task, worker)
+                    end = time.perf_counter_ns()
+                    my_events.append(TraceEvent(worker.id, tid, task.kind.value,
+                                                task.k, task.i, task.j, start, end))
+                    with cond:
+                        core.complete(tid)
+                        cond.notify_all()
         except BaseException as exc:  # run() re-raises it after the join
             with cond:  # the first failure wins; wake every waiter to stop
                 if state["error"] is None:
@@ -367,10 +375,11 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
 
     wall_start = time.perf_counter_ns()
     threads = [threading.Thread(target=worker_loop, args=(w,)) for w in workers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    with kernels.single_blas_thread():
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
     wall_end = time.perf_counter_ns()
 
     events = sorted((e for evs in events_per_worker.values() for e in evs),

@@ -238,8 +238,9 @@ def idle_stats(trace: Trace, horizon_ns: int) -> dict[int, dict[str, float]]:
             for w, b in busy.items()}
 
 
-# Per-task synchronization cost of the dual-lane kernels (thread wake-up
-# and the two barriers per depth panel); calibration, not measured data.
+# Per-task synchronization cost of the dual-lane kernels (handing the slow
+# lane its share and waiting for it to finish); calibration, not measured
+# data. The value anchors simulated_crossover_size.
 PAIR_SYNC_OVERHEAD_MS = 0.25
 
 

@@ -1,16 +1,20 @@
 """Slab-grid kernels against naive oracles; dual-lane bitwise identity."""
 
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
 from ampsched import dense, kernels
 from ampsched.kernels import (MICRO_SLAB, LaneConfig, gemm_asym, gemm_blocked,
                               split_loop3, syrk_asym, syrk_blocked, trsm_asym,
                               trsm_blocked)
+from conftest import run_with_timeout
 
 EPS = np.finfo(np.float64).eps
 
@@ -171,6 +175,105 @@ class TestLaneFailure:
         a, b, c = rand((8, 256), 29), rand((8, 8), 30), rand((256, 8), 31)
         with pytest.raises(FloatingPointError, match="slow lane"):
             gemm_asym(a, b, c)
+
+
+class TestLanePair:
+    def test_direct_calls_leave_no_thread(self):
+        before = threading.active_count()
+        a, b, c = rand((8, 256), 32), rand((8, 8), 33), rand((256, 8), 34)
+        u, rhs = upper(6, 35), rand((6, 100), 36)
+
+        def calls():
+            gemm_asym(a, b, c)
+            syrk_asym(a, rand((256, 256), 37))
+            trsm_asym(u, rhs, LaneConfig(1.0, 9.0))  # all on the slow lane
+
+        run_with_timeout(calls)
+        assert threading.active_count() == before
+
+    def test_returns_only_after_the_slow_lane(self, monkeypatch):
+        orig = kernels._gemm_rows
+
+        def rows(a, b, c, lo, hi):
+            if lo > 0:  # the slow lane finishes well after the fast one
+                time.sleep(0.05)
+            orig(a, b, c, lo, hi)
+
+        monkeypatch.setattr(kernels, "_gemm_rows", rows)
+        a, b, c0 = rand((8, 256), 45), rand((8, 8), 46), rand((256, 8), 47)
+        expect = gemm_blocked(a, b, c0.copy(order="F"))
+
+        def calls():
+            with kernels.lane_pair():
+                for _ in range(2):
+                    out = gemm_asym(a, b, c0.copy(order="F"))
+                    np.testing.assert_array_equal(out, expect)
+
+        run_with_timeout(calls)
+
+    def test_one_lane_thread_serves_every_call(self, monkeypatch):
+        before = threading.active_count()
+        orig = kernels._gemm_rows
+        fail = [True]
+
+        def rows(a, b, c, lo, hi):
+            if lo > 0 and fail[0]:
+                raise FloatingPointError("slow lane")
+            orig(a, b, c, lo, hi)
+
+        monkeypatch.setattr(kernels, "_gemm_rows", rows)
+        a, b, c0 = rand((8, 256), 38), rand((8, 8), 39), rand((256, 8), 40)
+        expect = gemm_blocked(a, b, c0.copy(order="F"))
+
+        def calls():
+            outside = threading.active_count()
+            with kernels.lane_pair():
+                assert threading.active_count() == outside + 1
+                with pytest.raises(FloatingPointError, match="slow lane"):
+                    gemm_asym(a, b, c0.copy(order="F"))
+                fail[0] = False  # the pair survives a lane failure
+                for _ in range(3):
+                    out = gemm_asym(a, b, c0.copy(order="F"))
+                    np.testing.assert_array_equal(out, expect)
+                    trsm_asym(upper(6, 41), rand((6, 100), 42))
+                assert threading.active_count() == outside + 1
+
+        run_with_timeout(calls)
+        assert threading.active_count() == before
+
+
+class TestTrsmPlumbing:
+    SIZE = st.one_of(st.sampled_from([1, 31, 32, 33, 90, 257]),
+                     st.integers(1, 300))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=SIZE, m=SIZE, u_order=st.sampled_from("CF"))
+    def test_matches_per_slab_f2py_dtrsm(self, n, m, u_order):
+        # The f2py wrapper copies each slab; the kernels solve B in place
+        # by address, so this checks pointer, offset and leading dimension.
+        u = np.array(upper(n, m), order=u_order)
+        b0 = rand((n, m), n)
+        ref = b0.copy(order="F")
+        for s in range(0, m, MICRO_SLAB):
+            e = min(s + MICRO_SLAB, m)
+            ref[:, s:e] = blas.dtrsm(1.0, u, ref[:, s:e], trans_a=1)
+        np.testing.assert_array_equal(trsm_blocked(u, b0.copy(order="F")), ref)
+        for lanes in RATIOS:
+            np.testing.assert_array_equal(
+                trsm_asym(u, b0.copy(order="F"), lanes), ref)
+
+    @pytest.mark.parametrize("make_b", [
+        np.ascontiguousarray,
+        lambda b: np.asfortranarray(b, dtype=np.float32),
+        lambda b: np.lib.stride_tricks.as_strided(b, writeable=False),
+    ], ids=["C-order", "float32", "read-only"])
+    def test_rejects_b_it_cannot_solve_in_place(self, make_b):
+        b = make_b(rand((5, 4), 43))
+        before = b.copy()
+        for trsm in (trsm_blocked, trsm_asym):
+            with pytest.raises(ValueError, match="in place"):
+                trsm(upper(5, 44), b)
+        np.testing.assert_array_equal(b, before)
 
 
 class TestSplitLoop3:

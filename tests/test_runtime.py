@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampsched import dense, runtime
+from ampsched import dense, kernels, runtime
 from ampsched.dense import BlockedMatrix, NotPositiveDefiniteError
 from ampsched.kernels import DEFAULT_LANES, LaneConfig
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
@@ -387,6 +387,120 @@ class TestFailLoudWorkers:
                                          make_workers(OBLIVIOUS, 2)))
         assert isinstance(exc.value.trace, Trace)
         assert len(exc.value.trace.events) < len(g.tasks)
+
+
+def count_lane_pairs(monkeypatch):
+    """Record every kernels.LanePair made and every handoff to its lane."""
+    made, handoffs = [], []
+
+    class Counted(kernels.LanePair):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def run(self, slow, fast):
+            handoffs.append(self)
+            super().run(slow, fast)
+
+    monkeypatch.setattr(kernels, "LanePair", Counted)
+    return made, handoffs
+
+
+class TestLanePairLifecycle:
+    # b=128 tiles: split_loop3 gives the slow lane rows or columns 96..128.
+
+    @pytest.mark.parametrize("nworkers", [1, 4])
+    def test_one_pair_per_vc_worker_and_none_left(self, monkeypatch, nworkers):
+        made, handoffs = count_lane_pairs(monkeypatch)
+        before = threading.active_count()
+        a = dense.make_spd(384, 6)
+        bm, _ = run_with_timeout(lambda: run(
+            build_cholesky_dag(3), BlockedMatrix.from_matrix(a, 128),
+            Policy(VC_POLICY), make_workers(VC_POLICY, nworkers)))
+        assert threading.active_count() == before
+        assert dense.residual(a, bm.upper_factor()) < 1e-12
+        assert len(made) == nworkers
+        assert len(handoffs) > nworkers  # pairs are reused across tasks
+
+    def test_stress_short_switch_interval(self):
+        # Six pairs (12 threads) with frequent switches; equal lane speeds
+        # cut every 64-wide tile at 32, so every call hands work to a lane.
+        # A lost handoff would hang; a lane running late would change bits.
+        a = dense.make_spd(256, seed=7)
+        g = build_cholesky_dag(4)
+        _, _, ref, _ = factor(256, 64, Policy(OBLIVIOUS), 1, seed=7)
+        before = threading.active_count()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            bm, trace = run_with_timeout(lambda: run(
+                g, BlockedMatrix.from_matrix(a, 64), Policy(VC_POLICY),
+                make_workers(VC_POLICY, 6), LaneConfig(1.0, 1.0)))
+        finally:
+            sys.setswitchinterval(old)
+        check_trace_legality(g, trace)
+        assert bm.upper_factor().tobytes() == ref.upper_factor().tobytes()
+        assert threading.active_count() == before
+
+    def test_nan_input_closes_every_pair(self, monkeypatch):
+        made, _ = count_lane_pairs(monkeypatch)
+        before = threading.active_count()
+        a = dense.make_spd(384, 6)
+        a[5, 200] = np.nan  # solved by a T task, fails at the pivot of 200
+        bm = BlockedMatrix.from_matrix(a, 128)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            run_with_timeout(lambda: run(build_cholesky_dag(3), bm,
+                                         Policy(VC_POLICY),
+                                         make_workers(VC_POLICY, 4)))
+        assert exc.value.index == 200
+        assert isinstance(exc.value.trace, Trace)
+        assert threading.active_count() == before
+        assert len(made) == 4
+
+    def test_slow_lane_failure_is_raised_with_trace(self, monkeypatch):
+        orig = kernels._gemm_rows
+
+        def rows(a, b, c, lo, hi):
+            if lo > 0:  # the slow lane owns the trailing rows
+                raise FloatingPointError("slow lane")
+            orig(a, b, c, lo, hi)
+
+        monkeypatch.setattr(kernels, "_gemm_rows", rows)
+        before = threading.active_count()
+        g = build_cholesky_dag(3)
+        bm = BlockedMatrix.from_matrix(dense.make_spd(384, 6), 128)
+        with pytest.raises(FloatingPointError, match="slow lane") as exc:
+            run_with_timeout(lambda: run(g, bm, Policy(VC_POLICY),
+                                         make_workers(VC_POLICY, 2)))
+        assert isinstance(exc.value.trace, Trace)
+        assert len(exc.value.trace.events) < len(g.tasks)
+        assert threading.active_count() == before
+
+
+class TestBlasThreads:
+    def test_run_holds_one_thread_then_restores(self):
+        controls = kernels._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no OpenBLAS thread-count symbols found")
+        found = [get() for get, _ in controls]
+        seen = set()
+
+        def hook(task, worker):
+            seen.update(get() for get, _ in controls)
+
+        try:
+            for _, put in controls:
+                put(2)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+            for policy in POLICIES:
+                run(build_cholesky_dag(3), BlockedMatrix.from_matrix(
+                    dense.make_spd(48, 1), 16), policy,
+                    make_workers(policy.kind, 2), task_hook=hook)
+                assert [get() for get, _ in controls] == [2] * len(controls)
+            assert seen == {1}
+        finally:
+            for (_, put), count in zip(controls, found):
+                put(count)
 
 
 class TestTrace:
