@@ -14,13 +14,13 @@ from .kernels import (DEFAULT_LANES, LaneConfig, Loop3Split, gemm_asym,
                       gemm_blocked, kernel_crossover_probe, split_loop3,
                       syrk_asym, syrk_blocked, trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
-                      Trace, TraceEvent, WorkerDescriptor, gflops,
-                      make_workers, run)
+                      WorkerDescriptor, gflops, make_workers, run)
 from .sim import (GTS, VC_VIEW, FixedCostModel, FlopsCostModel, MachineModel,
-                  Resource, SimResult, Table3CostModel, idle_stats,
-                  lower_bounds, preset_exynos5422, simulate)
+                  Resource, SimResult, Table3CostModel, lower_bounds,
+                  preset_exynos5422, simulate)
 from .taskgraph import (Task, TaskGraph, TaskGraphBuilder, TaskKind,
                         bottom_levels, build_cholesky_dag, critical_path,
                         export_dot, task_counts)
+from .trace import Trace, TraceEvent, idle_stats, kind_stats
 
 __version__ = "0.1.0"

@@ -4,7 +4,7 @@ Subcommands
     bench     run the threaded runtime, report min-of-repetitions timings
     simulate  replay a Cholesky DAG on a modeled asymmetric machine
     dag       export a Cholesky task DAG as DOT (and optionally JSON)
-    trace     summarize a trace JSON into per-worker and per-kind CSVs
+    trace     write a trace JSON's per-worker and per-kind summaries as CSVs
 
 Options may also come from a key=value config file (--config); explicit
 flags win on conflict. AMPSCHED_THREADS overrides --workers.
@@ -13,6 +13,7 @@ flags win on conflict. AMPSCHED_THREADS overrides --workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -21,9 +22,10 @@ import time
 
 import numpy as np
 
-from . import dense, runtime, sim, taskgraph
-from .runtime import Policy, Trace, gflops, make_workers
-from .taskgraph import TaskKind, build_cholesky_dag, export_dot, to_json
+from . import dense, runtime, sim
+from .runtime import Policy, gflops, make_workers
+from .taskgraph import build_cholesky_dag, export_dot, to_json
+from .trace import Trace, idle_stats, kind_stats
 
 BENCH_FIELDS = ["n", "b", "policy", "workers", "seconds_min", "gflops",
                 "residual", "is_best"]
@@ -58,17 +60,23 @@ def _merge(args, config: dict, key: str, default, conv=str):
     return default
 
 
-def _open_out(path: str):
-    return sys.stdout if path == "-" else open(path, "w", newline="")
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _write_csv(path: str, fields: list[str], rows) -> None:
+    """Write a header and rows as CSV to path; "-" means stdout."""
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", newline="")) as out:
+        w = csv.DictWriter(out, fieldnames=fields)
+        w.writeheader()
+        w.writerows(rows)
 
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config) if args.config else {}
     n = _merge(args, config, "n", None, int)
-    b_list = _merge(args, config, "b", None,
-                    lambda s: [int(x) for x in s.split(",")])
-    if isinstance(b_list, str):
-        b_list = [int(x) for x in b_list.split(",")]
+    b_list = _merge(args, config, "b", None, _int_list)
     policy_kind = _merge(args, config, "policy", runtime.OBLIVIOUS)
     workers = _merge(args, config, "workers", 4, int)
     seed = _merge(args, config, "seed", 1, int)
@@ -106,14 +114,7 @@ def cmd_bench(args) -> int:
     if len(rows) > 1:
         winner = min(rows, key=lambda r: r["seconds_min"])
         rows.append(dict(winner, is_best=1))
-    out = _open_out(args.csv)
-    try:
-        w = csv.DictWriter(out, fieldnames=BENCH_FIELDS)
-        w.writeheader()
-        w.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.csv, BENCH_FIELDS, rows)
     return 0
 
 
@@ -131,14 +132,7 @@ def cmd_simulate(args) -> int:
            "cost": args.cost, "n": args.n, "b": args.b, "s": s,
            "makespan_s": result.makespan_s,
            "gflops": gflops(args.n, result.makespan_s)}
-    out = _open_out(args.csv)
-    try:
-        w = csv.DictWriter(out, fieldnames=SIM_FIELDS)
-        w.writeheader()
-        w.writerow(row)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_csv(args.csv, SIM_FIELDS, [row])
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(result.trace.to_json())
@@ -162,26 +156,13 @@ def cmd_trace(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot read trace {args.infile!r}: {exc}", file=sys.stderr)
         return 1
-    horizon = trace.wall_end - trace.wall_start
-    stats = sim.idle_stats(trace, max(horizon, 1))
-    with open(args.summary, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=SUMMARY_FIELDS)
-        w.writeheader()
-        for worker in sorted(stats):
-            w.writerow({"worker": worker,
-                        "running_fraction": stats[worker]["running"],
-                        "idle_fraction": stats[worker]["idle"]})
-    kinds_path = args.kinds or args.summary + ".kinds.csv"
-    durations: dict[str, list[int]] = {}
-    for e in trace.events:
-        durations.setdefault(e.kind, []).append(e.end_ns - e.start_ns)
-    with open(kinds_path, "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=KIND_FIELDS)
-        w.writeheader()
-        for kind in sorted(durations):
-            vals = durations[kind]
-            w.writerow({"kind": kind, "count": len(vals),
-                        "mean_ms": sum(vals) / len(vals) / 1e6})
+    stats = idle_stats(trace, max(trace.wall_end - trace.wall_start, 1))
+    _write_csv(args.summary, SUMMARY_FIELDS, [
+        {"worker": w, "running_fraction": stats[w]["running"],
+         "idle_fraction": stats[w]["idle"]} for w in sorted(stats)])
+    _write_csv(args.kinds or args.summary + ".kinds.csv", KIND_FIELDS, [
+        {"kind": kind, "count": count, "mean_ms": mean_ns / 1e6}
+        for kind, (count, mean_ns) in kind_stats(trace).items()])
     return 0
 
 
@@ -191,7 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run native benchmarks")
     p.add_argument("--n", type=int)
-    p.add_argument("--b", type=str, help="block size or comma-separated sweep")
+    p.add_argument("--b", type=_int_list,
+                   help="block size or comma-separated sweep")
     p.add_argument("--policy", choices=[runtime.OBLIVIOUS, runtime.CATS,
                                         runtime.VC_POLICY])
     p.add_argument("--workers", type=int)

@@ -27,7 +27,6 @@ pair; outside it, a call makes a pair for itself.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import threading
 import time
@@ -359,6 +358,17 @@ def trsm_asym(u: np.ndarray, b: np.ndarray,
     return b
 
 
+CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
+                    "seq_gflops", "asym_gflops"]
+
+
+def crossover_row(size: int, seq_s: float, asym_s: float) -> dict:
+    """One CROSSOVER_FIELDS row: sequential vs dual-lane gemm at one size."""
+    flops = 2.0 * size ** 3
+    return dict(zip(CROSSOVER_FIELDS, (size, flops, seq_s, asym_s,
+                                       flops / seq_s / 1e9, flops / asym_s / 1e9)))
+
+
 def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
                            seed: int = 0) -> list[dict]:
     """Time sequential vs dual-lane gemm at square sizes.
@@ -386,24 +396,5 @@ def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
             t0 = time.perf_counter()
             gemm_asym(a, b, c, lanes)
             asym = time.perf_counter() - t0
-            flops = 2.0 * sz ** 3
-            rows.append({
-                "size": sz,
-                "flops": flops,
-                "seq_seconds": seq,
-                "asym_seconds": asym,
-                "seq_gflops": flops / seq / 1e9,
-                "asym_gflops": flops / asym / 1e9,
-            })
+            rows.append(crossover_row(sz, seq, asym))
     return rows
-
-
-CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
-                    "seq_gflops", "asym_gflops"]
-
-
-def write_crossover_csv(rows: list[dict], fileobj) -> None:
-    w = csv.DictWriter(fileobj, fieldnames=CROSSOVER_FIELDS)
-    w.writeheader()
-    for row in rows:
-        w.writerow(row)

@@ -18,23 +18,23 @@ Each VC worker keeps one slow-lane thread (kernels.lane_pair) for the
 whole run, and numpy's and scipy's OpenBLAS pools are held at one thread
 while the workers run. A failure in any worker stops all workers and is
 re-raised by run() with the partial trace attached. Trace events are
-recorded per worker without locks and merged after join.
+recorded per worker without locks and merged by Trace.collect.
 """
 
 from __future__ import annotations
 
 import contextlib
 import heapq
-import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import dense, kernels
 from .dense import BlockedMatrix, NotPositiveDefiniteError
 from .kernels import DEFAULT_LANES, LaneConfig
 from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels
+from .trace import Trace, TraceEvent
 
 FAST = "fast"
 SLOW = "slow"
@@ -78,49 +78,6 @@ class Policy:
             raise ValueError("cats_threshold must lie in [0, 1]")
         if self.stealing not in ("none", "uni", "bi"):
             raise ValueError(f"unknown stealing mode {self.stealing!r}")
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    worker: int
-    task: int
-    kind: str
-    k: int
-    i: int
-    j: int
-    start_ns: int
-    end_ns: int
-
-
-@dataclass
-class Trace:
-    events: list[TraceEvent]
-    wall_start: int
-    wall_end: int
-    workers: list[int] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "wall_start_ns": self.wall_start,
-            "wall_end_ns": self.wall_end,
-            "workers": self.workers,
-            "events": [
-                {"worker": e.worker, "task": e.task, "kind": e.kind,
-                 "k": e.k, "i": e.i, "j": e.j,
-                 "start_ns": e.start_ns, "end_ns": e.end_ns}
-                for e in self.events
-            ],
-        }, indent=1)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        doc = json.loads(text)
-        events = [TraceEvent(r["worker"], r["task"], r["kind"],
-                             r["k"], r["i"], r["j"],
-                             r["start_ns"], r["end_ns"])
-                  for r in doc["events"]]
-        return cls(events, doc["wall_start_ns"], doc["wall_end_ns"],
-                   list(doc.get("workers", [])))
 
 
 class ReadyPool:
@@ -284,6 +241,8 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     """
     if not workers:
         raise ValueError("at least one worker is required")
+    if len({w.id for w in workers}) != len(workers):
+        raise ValueError("worker ids must be distinct")
     kinds = {w.resource for w in workers}
     if policy.kind == VC_POLICY and kinds != {VC}:
         raise ValueError("VC policy requires vc-pair workers only")
@@ -362,8 +321,7 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                     start = time.perf_counter_ns()
                     body(task, worker)
                     end = time.perf_counter_ns()
-                    my_events.append(TraceEvent(worker.id, tid, task.kind.value,
-                                                task.k, task.i, task.j, start, end))
+                    my_events.append(TraceEvent.of(worker.id, task, start, end))
                     with cond:
                         core.complete(tid)
                         cond.notify_all()
@@ -382,9 +340,8 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
             t.join()
     wall_end = time.perf_counter_ns()
 
-    events = sorted((e for evs in events_per_worker.values() for e in evs),
-                    key=lambda e: (e.start_ns, e.worker))
-    trace = Trace(events, wall_start, wall_end, [w.id for w in workers])
+    trace = Trace.collect((e for evs in events_per_worker.values() for e in evs),
+                          wall_start, wall_end, [w.id for w in workers])
     if state["error"] is not None:
         err = state["error"]
         err.trace = trace

@@ -6,7 +6,8 @@ The event loop drives the runtime's own SchedulerCore, so dependency
 release, enable-event ordering and every ReadyPool decision are the same
 code the threads run. Time is integer nanoseconds; ready-task assignment
 within a simulation tick processes resources in ascending id order, so
-identical inputs give bitwise identical results.
+identical inputs give bitwise identical results, recorded as the same
+Trace (:mod:`ampsched.trace`) that a native run gives.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
+from .kernels import crossover_row
 from .runtime import (CATS, FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, VC_POLICY,
-                      Policy, SchedulerCore, Trace, TraceEvent)
+                      Policy, SchedulerCore)
 from .taskgraph import Task, TaskGraph, TaskKind, critical_path
+from .trace import Trace, TraceEvent, idle_stats
 
 GTS = "gts"
 VC_VIEW = "vc"
@@ -47,6 +50,8 @@ class MachineModel:
     view: str = GTS
 
     def resources(self) -> list[Resource]:
+        if not self.cores:
+            raise ValueError("a machine model needs at least one core")
         if self.view == GTS:
             return [Resource(i, kind, speed)
                     for i, (kind, speed) in enumerate(self.cores)]
@@ -141,12 +146,16 @@ def preset_exynos5422(view: str = GTS, b: int = TABLE3_BLOCK,
 class SimResult:
     makespan_ns: int
     trace: Trace
-    idle_fraction: dict[int, float]
-    kind_means_ns: dict[TaskKind, float]
 
     @property
     def makespan_s(self) -> float:
         return self.makespan_ns / 1e9
+
+    @property
+    def idle_fraction(self) -> dict[int, float]:
+        """Idle share of the makespan per resource id."""
+        stats = idle_stats(self.trace, max(self.makespan_ns, 1))
+        return {rid: s["idle"] for rid, s in stats.items()}
 
 
 def simulate(g: TaskGraph, machine: MachineModel, cost,
@@ -164,10 +173,8 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
 
     free = {r.id for r in resources}
     by_id = {r.id: r for r in resources}
-    running: list[tuple[int, int, int]] = []  # (finish, rid, tid) heap
-    start_of: dict[int, int] = {}
+    running: list[tuple[int, int, int, int]] = []  # (finish, rid, tid, start)
     events: list[TraceEvent] = []
-    busy = {r.id: 0 for r in resources}
     now = 0
 
     while not core.done:
@@ -181,8 +188,7 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
             dur = cost.duration_ns(g.tasks[tid], res)
             if dur <= 0:
                 raise ValueError("cost model produced a non-positive duration")
-            start_of[tid] = now
-            heapq.heappush(running, (now + dur, rid, tid))
+            heapq.heappush(running, (now + dur, rid, tid, now))
             free.discard(rid)
         if not running:
             raise RuntimeError("no runnable task; inconsistent policy state")
@@ -191,23 +197,12 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
         while running and running[0][0] == finish:
             batch.append(heapq.heappop(running))
         now = finish
-        for _, rid, tid in sorted(batch, key=lambda e: (e[1], e[2])):
-            task = g.tasks[tid]
-            events.append(TraceEvent(rid, tid, task.kind.value, task.k,
-                                     task.i, task.j, start_of[tid], finish))
-            busy[rid] += finish - start_of[tid]
+        for _, rid, tid, start in sorted(batch, key=lambda e: (e[1], e[2])):
+            events.append(TraceEvent.of(rid, g.tasks[tid], start, finish))
             free.add(rid)
             core.complete(tid)
 
-    makespan = now
-    trace = Trace(sorted(events, key=lambda e: (e.start_ns, e.worker)),
-                  0, makespan, [r.id for r in resources])
-    idle = {rid: 1.0 - busy[rid] / makespan for rid in busy} if makespan else {}
-    kind_totals: dict[TaskKind, list] = {}
-    for e in trace.events:
-        kind_totals.setdefault(TaskKind(e.kind), []).append(e.end_ns - e.start_ns)
-    kind_means = {k: sum(v) / len(v) for k, v in kind_totals.items()}
-    return SimResult(makespan, trace, idle, kind_means)
+    return SimResult(now, Trace.collect(events, 0, now, [r.id for r in resources]))
 
 
 def lower_bounds(g: TaskGraph, machine: MachineModel, cost) -> tuple[int, int]:
@@ -223,19 +218,6 @@ def lower_bounds(g: TaskGraph, machine: MachineModel, cost) -> tuple[int, int]:
     cp = int(critical_path(g, lambda t: dmin[t.id]))
     work = -(-sum(dmin) // len(resources))
     return cp, work
-
-
-def idle_stats(trace: Trace, horizon_ns: int) -> dict[int, dict[str, float]]:
-    """Per-worker running/idle fractions of the given horizon."""
-    span = trace.wall_end - trace.wall_start
-    if horizon_ns < span:
-        raise ValueError("horizon must cover the whole trace")
-    busy: dict[int, int] = {w: 0 for w in trace.workers}
-    for e in trace.events:
-        busy.setdefault(e.worker, 0)
-        busy[e.worker] += e.end_ns - e.start_ns
-    return {w: {"running": b / horizon_ns, "idle": 1.0 - b / horizon_ns}
-            for w, b in busy.items()}
 
 
 # Per-task synchronization cost of the dual-lane kernels (handing the slow
@@ -259,11 +241,7 @@ def simulated_kernel_times(sizes: list[int]) -> list[dict]:
         seq = TABLE3_MS[FAST][TaskKind.G] * scale / 1e3
         asym = (TABLE3_MS[VC][TaskKind.G] * scale
                 + PAIR_SYNC_OVERHEAD_MS) / 1e3
-        flops = 2.0 * sz ** 3
-        rows.append({"size": sz, "flops": flops,
-                     "seq_seconds": seq, "asym_seconds": asym,
-                     "seq_gflops": flops / seq / 1e9,
-                     "asym_gflops": flops / asym / 1e9})
+        rows.append(crossover_row(sz, seq, asym))
     return rows
 
 

@@ -179,12 +179,18 @@ class TestTraceCmd:
         assert rc == 0
         assert (tmp_path / "sum.csv.kinds.csv").exists()
 
-    def test_unreadable_trace_fails_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", "null",
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [1]}'],
+        ids=["not-json", "list", "null", "non-object-event"])
+    def test_unreadable_trace_fails_cleanly(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_text(text)
         rc = cli.main(["trace", "--in", str(bad),
                        "--summary", str(tmp_path / "s.csv")])
         assert rc == 1
+        assert "error: cannot read trace" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 def test_console_entry_point_help():

@@ -56,6 +56,13 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             run(g, bm, Policy(OBLIVIOUS), [])
 
+    def test_duplicate_worker_ids(self):
+        g = build_cholesky_dag(2)
+        bm = BlockedMatrix.from_matrix(dense.make_spd(4, 1), 2)
+        with pytest.raises(ValueError, match="distinct"):
+            run(g, bm, Policy(OBLIVIOUS),
+                [WorkerDescriptor(0, FAST), WorkerDescriptor(0, SLOW)])
+
 
 class TestMakeWorkers:
     def test_vc_pairs(self):

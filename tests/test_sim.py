@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from ampsched import sim
-from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
-                              Policy)
+from ampsched.kernels import CROSSOVER_FIELDS
+from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, TABLE3_MS, VC,
+                              VC_POLICY, Policy)
 from ampsched.sim import (GTS, VC_VIEW, FixedCostModel, FlopsCostModel,
-                          MachineModel, Resource, Table3CostModel, idle_stats,
+                          MachineModel, Resource, Table3CostModel,
                           lower_bounds, preset_exynos5422, simulate)
-from ampsched.taskgraph import TaskGraphBuilder, TaskKind, build_cholesky_dag
+from ampsched.taskgraph import (TaskGraphBuilder, TaskKind, build_cholesky_dag,
+                                task_counts)
+from ampsched.trace import Trace, TraceEvent, idle_stats, kind_stats
 from conftest import check_trace_legality, random_task_graph
 
 
@@ -41,6 +44,18 @@ class TestMachineModel:
     def test_resource_speed_positive(self):
         with pytest.raises(ValueError):
             Resource(0, FAST, 0.0)
+
+    @pytest.mark.parametrize("view", [GTS, VC_VIEW])
+    def test_rejects_machine_without_cores(self, view):
+        m = MachineModel((), view)
+        cost = FixedCostModel({FAST: 1, SLOW: 1, VC: 1})
+        with pytest.raises(ValueError, match="at least one core"):
+            m.resources()
+        with pytest.raises(ValueError, match="at least one core"):
+            lower_bounds(chain_graph(2), m, cost)
+        policy = Policy(VC_POLICY if view == VC_VIEW else OBLIVIOUS)
+        with pytest.raises(ValueError, match="at least one core"):
+            simulate(chain_graph(2), m, cost, policy)
 
 
 class TestCostModels:
@@ -112,7 +127,12 @@ class TestSimulate:
         res = simulate(g, machine, cost, policy)
         check_trace_legality(g, res.trace)
         assert res.makespan_ns == max(e.end_ns for e in res.trace.events)
-        assert set(res.kind_means_ns) <= set(TaskKind)
+        stats = kind_stats(res.trace)
+        assert {TaskKind(k): n for k, (n, _) in stats.items()} == task_counts(5)
+        # No task runs faster than on a fast core (the VC pair in the VC view).
+        table = TABLE3_MS[VC if view == VC_VIEW else FAST]
+        for kind, (_, mean_ns) in stats.items():
+            assert mean_ns >= round(table[TaskKind(kind)] * 1e6)
 
     def test_single_resource_serializes(self):
         g = chain_graph(5)
@@ -121,6 +141,21 @@ class TestSimulate:
         res = simulate(g, machine, cost, Policy(OBLIVIOUS))
         assert res.makespan_ns == 50
         assert res.idle_fraction == {0: 0.0}
+
+    @pytest.mark.parametrize("policy,view", [
+        (Policy(OBLIVIOUS), GTS), (Policy(VC_POLICY), VC_VIEW)])
+    def test_idle_fraction_is_the_trace_summary(self, policy, view):
+        machine, cost = preset_exynos5422(view, 448)
+        res = simulate(build_cholesky_dag(6), machine, cost, policy)
+        stats = idle_stats(res.trace, res.makespan_ns)
+        assert res.idle_fraction == {r: s["idle"] for r, s in stats.items()}
+        # Oracle: an independent per-resource busy-time sum.
+        busy = {r.id: 0 for r in machine.resources()}
+        for e in res.trace.events:
+            busy[e.worker] += e.end_ns - e.start_ns
+        assert res.idle_fraction == {
+            r: 1.0 - b / res.makespan_ns for r, b in busy.items()}
+        assert list(res.idle_fraction) == list(busy)
 
     def test_parallel_width(self):
         # 6 independent unit tasks on 3 equal resources: two waves.
@@ -185,7 +220,6 @@ class TestLowerBounds:
 
 class TestIdleStats:
     def test_fractions(self):
-        from ampsched.runtime import Trace, TraceEvent
         t = Trace([TraceEvent(0, 0, "G", 0, 0, 0, 0, 60),
                    TraceEvent(1, 1, "G", 0, 0, 0, 0, 40)], 0, 100, [0, 1, 2])
         stats = idle_stats(t, 100)
@@ -194,7 +228,6 @@ class TestIdleStats:
         assert stats[2] == {"running": 0.0, "idle": 1.0}
 
     def test_horizon_must_cover_trace(self):
-        from ampsched.runtime import Trace
         with pytest.raises(ValueError):
             idle_stats(Trace([], 0, 100, [0]), 50)
 
@@ -202,6 +235,7 @@ class TestIdleStats:
 class TestModeledCrossover:
     def test_dual_lane_loses_small_wins_large(self):
         rows = sim.simulated_kernel_times([16, 448])
+        assert all(list(r) == CROSSOVER_FIELDS for r in rows)
         assert rows[0]["asym_seconds"] > rows[0]["seq_seconds"]
         assert rows[1]["asym_seconds"] < rows[1]["seq_seconds"]
 
