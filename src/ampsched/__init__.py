@@ -15,9 +15,9 @@ from .kernels import (DEFAULT_LANES, LaneConfig, Loop3Split, gemm_asym,
                       syrk_asym, syrk_blocked, trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
                       WorkerDescriptor, gflops, make_workers, run)
-from .sim import (GTS, VC_VIEW, FixedCostModel, FlopsCostModel, MachineModel,
-                  Resource, SimResult, Table3CostModel, lower_bounds,
-                  preset_exynos5422, simulate)
+from .sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
+                  SimResult, Table3CostModel, lower_bounds, preset_exynos5422,
+                  simulate)
 from .taskgraph import (Task, TaskGraph, TaskGraphBuilder, TaskKind,
                         bottom_levels, build_cholesky_dag, critical_path,
                         export_dot, task_counts)

@@ -22,6 +22,9 @@ factorization is bitwise independent of the schedule. Nothing relies on
 a BLAS call giving the same bits when it is cut at a different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
+
+kernel_crossover_probe times the sequential against the dual-lane gemm
+by size. The crossover it finds is measured on the host, not modeled.
 """
 
 from __future__ import annotations
@@ -362,22 +365,15 @@ CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
                     "seq_gflops", "asym_gflops"]
 
 
-def crossover_row(size: int, seq_s: float, asym_s: float) -> dict:
-    """One CROSSOVER_FIELDS row: sequential vs dual-lane gemm at one size."""
-    flops = 2.0 * size ** 3
-    return dict(zip(CROSSOVER_FIELDS, (size, flops, seq_s, asym_s,
-                                       flops / seq_s / 1e9, flops / asym_s / 1e9)))
-
-
 def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
                            seed: int = 0) -> list[dict]:
     """Time sequential vs dual-lane gemm at square sizes.
 
     The dual-lane calls share one lane pair held across all sizes, as on
     a VC worker, so asym_seconds includes the lane handoff but no thread
-    start. Host-dependent wall-clock measurements; the deterministic
-    analogue on a modeled machine lives in
-    :func:`ampsched.sim.simulated_kernel_times`.
+    start. Host-dependent wall-clock measurements: where the dual-lane
+    call starts to win is a property of the host it runs on, which no
+    model in the package predicts. One row of CROSSOVER_FIELDS per size.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
@@ -396,5 +392,7 @@ def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
             t0 = time.perf_counter()
             gemm_asym(a, b, c, lanes)
             asym = time.perf_counter() - t0
-            rows.append(crossover_row(sz, seq, asym))
+            flops = 2.0 * sz ** 3
+            rows.append(dict(zip(CROSSOVER_FIELDS, (
+                sz, flops, seq, asym, flops / seq / 1e9, flops / asym / 1e9))))
     return rows

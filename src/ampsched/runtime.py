@@ -59,6 +59,22 @@ TABLE3_MS = {
 TABLE3_BLOCK = 448
 
 
+def table3_ns(b: int) -> dict[str, dict[TaskKind, int]]:
+    """Table 3 as integer ns per task at block size b, per resource kind.
+
+    Block sizes other than 448 scale the measured means by (b/448)^3, a
+    cubic-flop extrapolation: constant factors differ in reality but the
+    fast/slow/vc ratios the comparisons need are preserved. Every entry
+    is at least 1 ns.
+    """
+    if b < 1:
+        raise ValueError("block size must be >= 1")
+    scale = (b / TABLE3_BLOCK) ** 3
+    return {res: {kind: max(1, int(round(ms * scale * 1e6)))
+                  for kind, ms in row.items()}
+            for res, row in TABLE3_MS.items()}
+
+
 @dataclass(frozen=True)
 class WorkerDescriptor:
     id: int
@@ -221,9 +237,13 @@ def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
 
 
 def default_priority_cost(b: int) -> Callable[[Task], float]:
-    """Fast-core cost estimate used for CATS bottom levels."""
-    scale = (b / TABLE3_BLOCK) ** 3
-    return lambda t: TABLE3_MS[FAST][t.kind] * scale
+    """Fast-core Table-3 ns used for CATS bottom levels.
+
+    The same integers the simulator ranks CATS tasks by, so a native run
+    at block size b orders its ready tasks as the simulated one does.
+    """
+    fast = table3_ns(b)[FAST]
+    return lambda t: float(fast[t.kind])
 
 
 def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,

@@ -8,17 +8,20 @@ code the threads run. Time is integer nanoseconds; ready-task assignment
 within a simulation tick processes resources in ascending id order, so
 identical inputs give bitwise identical results, recorded as the same
 Trace (:mod:`ampsched.trace`) that a native run gives.
+
+A cost model is any object with ``duration_ns(task, resource)``, and it
+prices a task by its kind and the resource alone. So CATS priorities and
+the lower bounds probe it once per (task kind, resource) pair
+(fastest_ns), while the event loop asks it once per dispatched task.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
 
-from .kernels import crossover_row
 from .runtime import (CATS, FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, VC_POLICY,
-                      Policy, SchedulerCore)
+                      Policy, SchedulerCore, table3_ns)
 from .taskgraph import Task, TaskGraph, TaskKind, critical_path
 from .trace import Trace, TraceEvent, idle_stats
 
@@ -80,22 +83,15 @@ def task_flops(kind: TaskKind, b: int) -> float:
 
 
 class Table3CostModel:
-    """Durations from the measured per-kind, per-resource means.
-
-    Block sizes other than 448 scale the measured means by (b/448)^3,
-    a cubic-flop extrapolation: constant factors differ in reality but
-    the fast/slow/vc ratios the comparisons need are preserved.
-    """
+    """Durations from the measured per-kind, per-resource means
+    (runtime.table3_ns at block size b)."""
 
     def __init__(self, b: int = TABLE3_BLOCK):
-        if b < 1:
-            raise ValueError("block size must be >= 1")
         self.b = b
-        self._scale = (b / TABLE3_BLOCK) ** 3
+        self.table = table3_ns(b)
 
     def duration_ns(self, task: Task, resource: Resource) -> int:
-        ms = TABLE3_MS[resource.kind][task.kind] * self._scale
-        return max(1, int(round(ms * 1e6)))
+        return self.table[resource.kind][task.kind]
 
 
 class FlopsCostModel:
@@ -112,18 +108,17 @@ class FlopsCostModel:
         return max(1, int(round(seconds * 1e9)))
 
 
-class FixedCostModel:
-    """Per-(resource kind, task kind) durations in ns; test scaffolding."""
+def fastest_ns(g: TaskGraph, resources: list[Resource],
+               cost) -> dict[TaskKind, int]:
+    """Each task kind of g mapped to its duration on its fastest resource.
 
-    def __init__(self, table: dict):
-        self.table = table
-
-    def duration_ns(self, task: Task, resource: Resource) -> int:
-        entry = self.table[resource.kind]
-        d = entry[task.kind] if isinstance(entry, dict) else entry
-        if d <= 0:
-            raise ValueError("durations must be positive")
-        return int(d)
+    Relies on the cost-model contract: a task is priced by its kind and
+    the resource alone, so one task of each kind stands for all of them
+    and each (kind, resource) pair is probed once.
+    """
+    sample = {t.kind: t for t in g.tasks}
+    return {kind: min(cost.duration_ns(t, r) for r in resources)
+            for kind, t in sample.items()}
 
 
 def preset_exynos5422(view: str = GTS, b: int = TABLE3_BLOCK,
@@ -167,9 +162,10 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
     if policy.kind == CATS and not any(r.kind == FAST for r in resources):
         raise ValueError("CATS requires at least one fast resource")
 
-    fast_rs = [r for r in resources if r.kind == FAST]
-    core = SchedulerCore(
-        g, policy, lambda t: float(min(cost.duration_ns(t, r) for r in fast_rs)))
+    # CATS ranks tasks by fast-resource durations; no other policy asks.
+    fast = (fastest_ns(g, [r for r in resources if r.kind == FAST], cost)
+            if policy.kind == CATS else {})
+    core = SchedulerCore(g, policy, lambda t: float(fast[t.kind]))
 
     free = {r.id for r in resources}
     by_id = {r.id: r for r in resources}
@@ -214,41 +210,7 @@ def lower_bounds(g: TaskGraph, machine: MachineModel, cost) -> tuple[int, int]:
     and no task runs faster than on its best resource).
     """
     resources = machine.resources()
-    dmin = [min(cost.duration_ns(t, r) for r in resources) for t in g.tasks]
-    cp = int(critical_path(g, lambda t: dmin[t.id]))
-    work = -(-sum(dmin) // len(resources))
+    dmin = fastest_ns(g, resources, cost)
+    cp = int(critical_path(g, lambda t: dmin[t.kind]))
+    work = -(-sum(dmin[t.kind] for t in g.tasks) // len(resources))
     return cp, work
-
-
-# Per-task synchronization cost of the dual-lane kernels (handing the slow
-# lane its share and waiting for it to finish); calibration, not measured
-# data. The value anchors simulated_crossover_size.
-PAIR_SYNC_OVERHEAD_MS = 0.25
-
-
-def simulated_kernel_times(sizes: list[int]) -> list[dict]:
-    """Deterministic analogue of the kernel crossover probe.
-
-    Sequential gemm runs at the fast-core Table-3 rate; the dual-lane
-    kernel runs at the VC-pair rate plus a fixed synchronization
-    overhead, which is what produces the small-size crossover.
-    """
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    rows = []
-    for sz in sizes:
-        scale = (sz / TABLE3_BLOCK) ** 3
-        seq = TABLE3_MS[FAST][TaskKind.G] * scale / 1e3
-        asym = (TABLE3_MS[VC][TaskKind.G] * scale
-                + PAIR_SYNC_OVERHEAD_MS) / 1e3
-        rows.append(crossover_row(sz, seq, asym))
-    return rows
-
-
-def simulated_crossover_size(max_size: int = 1024) -> Optional[int]:
-    """Smallest size at which the dual-lane kernel beats the sequential one."""
-    for sz in range(1, max_size + 1):
-        row = simulated_kernel_times([sz])[0]
-        if row["asym_seconds"] < row["seq_seconds"]:
-            return sz
-    return None

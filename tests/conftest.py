@@ -31,6 +31,24 @@ def random_task_graph(rng: np.random.Generator, max_nodes: int = 60,
     return builder.build()
 
 
+class FixedCostModel:
+    """Hand-picked simulator durations in ns.
+
+    The table maps a resource kind to one duration for every task kind,
+    or to a {TaskKind: ns} dict.
+    """
+
+    def __init__(self, table: dict):
+        self.table = table
+
+    def duration_ns(self, task, resource) -> int:
+        entry = self.table[resource.kind]
+        d = entry[task.kind] if isinstance(entry, dict) else entry
+        if d <= 0:
+            raise ValueError("durations must be positive")
+        return int(d)
+
+
 def check_trace_legality(g: TaskGraph, trace) -> None:
     """Every task exactly once; every edge finishes before its successor starts."""
     seen = sorted(e.task for e in trace.events)

@@ -1,19 +1,20 @@
 """Discrete-event simulator: determinism, cost models, bounds, presets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from ampsched import sim
-from ampsched.kernels import CROSSOVER_FIELDS
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, TABLE3_MS, VC,
-                              VC_POLICY, Policy)
-from ampsched.sim import (GTS, VC_VIEW, FixedCostModel, FlopsCostModel,
-                          MachineModel, Resource, Table3CostModel,
-                          lower_bounds, preset_exynos5422, simulate)
+                              VC_POLICY, Policy, default_priority_cost)
+from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
+                          Table3CostModel, lower_bounds, preset_exynos5422,
+                          simulate)
 from ampsched.taskgraph import (TaskGraphBuilder, TaskKind, build_cholesky_dag,
                                 task_counts)
 from ampsched.trace import Trace, TraceEvent, idle_stats, kind_stats
-from conftest import check_trace_legality, random_task_graph
+from conftest import FixedCostModel, check_trace_legality, random_task_graph
 
 
 def chain_graph(length):
@@ -83,6 +84,16 @@ class TestCostModels:
         assert sim.task_flops(TaskKind.C, 6) == 72.0
         assert sim.task_flops(TaskKind.G, 6) == 432.0
         assert sim.task_flops(TaskKind.T, 6) == 216.0
+
+    @pytest.mark.parametrize("b", [1, 4, 32, 256, 448])
+    def test_native_cats_ranks_by_simulated_fast_durations(self, b):
+        native = default_priority_cost(b)
+        model = Table3CostModel(b)
+        fast = Resource(0, FAST, 1.0)
+        tasks = build_cholesky_dag(3).tasks
+        assert {t.kind for t in tasks} == set(TaskKind)
+        for t in tasks:
+            assert native(t) == float(model.duration_ns(t, fast))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +202,21 @@ class TestSimulate:
         assert rc.makespan_ns < ro.makespan_ns
 
 
+def bounds_oracle(g, machine, cost) -> tuple[int, int]:
+    """Both bounds from every task's duration on every resource.
+
+    Each task weighs its fastest duration; cp is the heaviest path (task
+    ids are a topological order), work the total over the resource count.
+    """
+    rs = machine.resources()
+    dmin = [min(cost.duration_ns(t, r) for r in rs) for t in g.tasks]
+    longest = [0] * len(g.tasks)
+    for t in reversed(g.tasks):
+        longest[t.id] = dmin[t.id] + max(
+            (longest[q] for q in g.successors[t.id]), default=0)
+    return max(longest, default=0), -(-sum(dmin) // len(rs))
+
+
 class TestLowerBounds:
     def test_chain_equals_cp_bound(self):
         g = chain_graph(4)
@@ -203,19 +229,60 @@ class TestLowerBounds:
 
     def test_fuzzed_dags_respect_bounds(self):
         rng = np.random.default_rng(123)
-        for _ in range(25):
+        for trial in range(25):
             g = random_task_graph(rng, max_nodes=40)
             nfast = int(rng.integers(1, 4))
-            nslow = int(rng.integers(0, 4))
-            cores = [(FAST, float(rng.uniform(1, 5)))] * nfast
+            # Odd trials add slow cores; fast cores differ in speed.
+            nslow = int(rng.integers(1, 4)) if trial % 2 else 0
+            cores = [(FAST, float(rng.uniform(1, 5))) for _ in range(nfast)]
             cores += [(SLOW, 1.0)] * nslow
             machine = MachineModel(tuple(cores))
-            cost = FlopsCostModel(int(rng.integers(2, 9)), 1e6)
+            if trial % 3 == 0:
+                cost = Table3CostModel(int(rng.integers(1, 449)))
+            elif trial % 3 == 1:
+                cost = FlopsCostModel(int(rng.integers(2, 9)), 1e6)
+            else:
+                cost = FixedCostModel({
+                    kind: {k: int(rng.integers(1, 1000)) for k in TaskKind}
+                    for kind in (FAST, SLOW)})
             policy = Policy(OBLIVIOUS) if rng.integers(2) else Policy(CATS)
             res = simulate(g, machine, cost, policy)
             cp, work = lower_bounds(g, machine, cost)
+            assert (cp, work) == bounds_oracle(g, machine, cost), trial
             assert res.makespan_ns >= max(cp, work) - 1
             check_trace_legality(g, res.trace)
+
+
+# s=40 (n=17920 at b=448) on the modeled Exynos 5422, the sim-exynos
+# benchmark shape: exact makespans, trace bytes and bounds per policy.
+S40_MAKESPAN_NS = {OBLIVIOUS: 200_791_890_000, CATS: 199_769_160_000,
+                   VC_POLICY: 215_603_900_000}
+S40_TRACE_SHA1 = {OBLIVIOUS: "725394b8a00b42ee6bb1ee19bb5be767089669d3",
+                  CATS: "34f0f069e716814fe1f293269c0b1c44b662003f",
+                  VC_POLICY: "a5298e62b2b69c8b83631dfc528cee5a6bf4a566"}
+S40_BOUNDS_NS = {GTS: (7_503_710_000, 120_228_775_000),
+                 VC_VIEW: (6_772_070_000, 213_581_350_000)}
+
+
+@pytest.fixture(scope="module")
+def dag_s40():
+    return build_cholesky_dag(40)
+
+
+class TestExynosS40Anchors:
+    @pytest.mark.parametrize("policy", [OBLIVIOUS, CATS, VC_POLICY])
+    def test_makespan_and_trace_bytes(self, dag_s40, policy):
+        machine, cost = preset_exynos5422(
+            VC_VIEW if policy == VC_POLICY else GTS, 448)
+        res = simulate(dag_s40, machine, cost, Policy(policy))
+        assert res.makespan_ns == S40_MAKESPAN_NS[policy]
+        digest = hashlib.sha1(res.trace.to_json().encode()).hexdigest()
+        assert digest == S40_TRACE_SHA1[policy]
+
+    @pytest.mark.parametrize("view", [GTS, VC_VIEW])
+    def test_lower_bounds(self, dag_s40, view):
+        machine, cost = preset_exynos5422(view, 448)
+        assert lower_bounds(dag_s40, machine, cost) == S40_BOUNDS_NS[view]
 
 
 class TestIdleStats:
@@ -230,19 +297,3 @@ class TestIdleStats:
     def test_horizon_must_cover_trace(self):
         with pytest.raises(ValueError):
             idle_stats(Trace([], 0, 100, [0]), 50)
-
-
-class TestModeledCrossover:
-    def test_dual_lane_loses_small_wins_large(self):
-        rows = sim.simulated_kernel_times([16, 448])
-        assert all(list(r) == CROSSOVER_FIELDS for r in rows)
-        assert rows[0]["asym_seconds"] > rows[0]["seq_seconds"]
-        assert rows[1]["asym_seconds"] < rows[1]["seq_seconds"]
-
-    def test_crossover_size_bracket(self):
-        x = sim.simulated_crossover_size()
-        assert x is not None and 64 < x <= 160
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sim.simulated_kernel_times([])
