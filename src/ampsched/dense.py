@@ -101,18 +101,10 @@ def ref_syrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Naive symmetric rank-k update, C := C - A^T A on the full block.
 
     The update is applied to the whole (symmetric) block; only the upper
-    triangle is ever consumed by the factorization.
+    triangle is ever consumed by the factorization. It is ref_gemm with
+    B = A, as the slab-blocked syrk is the blocked gemm with B = A.
     """
-    a, c = _as_matrix(a), _as_matrix(c)
-    k, m = a.shape
-    if c.shape != (m, m):
-        raise ValueError(f"nonconformal syrk operands {a.shape} {c.shape}")
-    out = np.array(c, order="F")
-    for i in range(m):
-        col = a[:, i]
-        for j in range(m):
-            out[i, j] -= np.dot(col, a[:, j])
-    return out
+    return ref_gemm(a, a, c)
 
 
 def ref_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -14,12 +14,13 @@ lanes of a dual-lane call, and the workers of a threaded run, compute at
 the same time.
 
 The dual-lane (fast+slow) variants split the row or column space between
-the calling thread and a persistent slow-lane thread (LanePair) with
-split_loop3, whose cut always lies on that grid. A split therefore
-changes which lane computes a slab, never how it is computed, so the
-asymmetric kernels are bitwise identical to the sequential ones and the
-factorization is bitwise independent of the schedule. Nothing relies on
-a BLAS call giving the same bits when it is cut at a different place.
+the calling thread and a persistent slow-lane thread (LanePair, a
+one-thread executor) with split_loop3, whose cut always lies on that
+grid. A split therefore changes which lane computes a slab, never how it
+is computed, so the asymmetric kernels are bitwise identical to the
+sequential ones and the factorization is bitwise independent of the
+schedule. Nothing relies on a BLAS call giving the same bits when it is
+cut at a different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
 
@@ -33,6 +34,7 @@ import contextlib
 import ctypes
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -196,58 +198,26 @@ def _trsm_cols(u: np.ndarray, b: np.ndarray, lo: int, hi: int) -> None:
                u_p, ld_p, b_p + 8 * ld.value * s, ld_p)
 
 
-class LanePair:
-    """A persistent slow-lane thread beside the thread that owns the pair.
+class LanePair(ThreadPoolExecutor):
+    """A one-thread executor: the slow lane beside the thread that owns it.
 
-    run(slow, fast) hands slow() to the lane thread, runs fast() on the
+    run(slow, fast) submits slow() to the lane thread, runs fast() on the
     calling thread and returns once both have finished; a lane failure is
-    re-raised on the caller. Work goes to the lane and back through two
-    semaphores, so no thread is started per call. close() stops and joins
-    the lane thread. Only the owning thread may call run().
+    re-raised on the caller. Shutdown joins the lane thread, which starts
+    with the pair. Only the owning thread may call run().
     """
 
     def __init__(self):
-        self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._work = None
-        self._failure: BaseException | None = None
-        self._thread = threading.Thread(target=self._serve, name="slow-lane",
-                                        daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while True:
-            self._go.acquire()
-            work = self._work
-            if work is None:
-                return
-            try:
-                work()
-            except BaseException as exc:  # re-raised by run() on the owner
-                self._failure = exc
-            self._done.release()
+        super().__init__(max_workers=1, thread_name_prefix="slow-lane")
+        self.submit(int).result()  # start the lane thread now
 
     def run(self, slow, fast) -> None:
-        self._work, self._failure = slow, None
-        self._go.release()
+        future = self.submit(slow)
         try:
             fast()
         finally:
-            self._done.acquire()  # the lane has finished before we return
-        failure, self._failure = self._failure, None
-        if failure is not None:
-            raise failure
-
-    def close(self) -> None:
-        self._work = None
-        self._go.release()
-        self._thread.join()
-
-    def __enter__(self) -> "LanePair":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            future.exception()  # waits: the lane has finished before we return
+        future.result()
 
 
 _owned = threading.local()  # .pair: the LanePair lane_pair() gave this thread
@@ -257,8 +227,8 @@ _owned = threading.local()  # .pair: the LanePair lane_pair() gave this thread
 def lane_pair():
     """Give the calling thread one LanePair for all its dual-lane calls.
 
-    The pair is closed and its thread joined on exit, whether or not the
-    body raised.
+    The pair is shut down and its thread joined on exit, whether or not
+    the body raised.
     """
     outer = getattr(_owned, "pair", None)
     with LanePair() as pair:
@@ -365,9 +335,8 @@ CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
                     "seq_gflops", "asym_gflops"]
 
 
-def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
-                           seed: int = 0) -> list[dict]:
-    """Time sequential vs dual-lane gemm at square sizes.
+def kernel_crossover_probe(sizes: list[int]) -> list[dict]:
+    """Time sequential vs dual-lane (DEFAULT_LANES) gemm at square sizes.
 
     The dual-lane calls share one lane pair held across all sizes, as on
     a VC worker, so asym_seconds includes the lane handoff but no thread
@@ -377,7 +346,7 @@ def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     rows = []
     with lane_pair():
         for sz in sizes:
@@ -390,7 +359,7 @@ def kernel_crossover_probe(sizes: list[int], lanes: LaneConfig = DEFAULT_LANES,
             seq = time.perf_counter() - t0
             c = np.array(c0, order="F")
             t0 = time.perf_counter()
-            gemm_asym(a, b, c, lanes)
+            gemm_asym(a, b, c)
             asym = time.perf_counter() - t0
             flops = 2.0 * sz ** 3
             rows.append(dict(zip(CROSSOVER_FIELDS, (

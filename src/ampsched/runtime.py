@@ -14,11 +14,14 @@ the enable-event counter, the completion count and the two-heap
 ReadyPool. run() drives it from worker threads under one condition
 variable; the simulator in :mod:`ampsched.sim` drives the same core from
 its event loop, so both reach every decision through ReadyPool.select.
-Each VC worker keeps one slow-lane thread (kernels.lane_pair) for the
-whole run, and numpy's and scipy's OpenBLAS pools are held at one thread
-while the workers run. A failure in any worker stops all workers and is
-re-raised by run() with the partial trace attached. Trace events are
-recorded per worker without locks and merged by Trace.collect.
+Both also check their resource kinds against the policy with one rule
+(check_worker_kinds) and report a stall with one message (STALLED).
+Each VC worker keeps one slow-lane thread (kernels.lane_pair, a
+one-thread executor) for the whole run, and numpy's and scipy's OpenBLAS
+pools are held at one thread while the workers run. A failure in any
+worker stops all workers and is re-raised by run() with the partial
+trace attached. Trace events are recorded per worker without locks and
+merged by Trace.collect.
 """
 
 from __future__ import annotations
@@ -179,16 +182,15 @@ class SchedulerCore:
     Owns the indegree counters, the enable-event counter, the completion
     count and the ready pool. Deterministic and not thread-safe: run()
     calls it under its condition variable, simulate() from its event loop.
-    For CATS, bottom levels are computed from priority_cost.
+    For CATS, bottom levels are computed from priority_cost, without
+    which the ReadyPool raises ValueError.
     """
 
     def __init__(self, g: TaskGraph, policy: Policy,
                  priority_cost: Optional[Callable[[Task], float]] = None):
         self.g = g
         priorities = None
-        if policy.kind == CATS:
-            if priority_cost is None:
-                raise ValueError("CATS requires a priority cost")
+        if policy.kind == CATS and priority_cost is not None:
             priorities = bottom_levels(g, priority_cost)
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
@@ -225,6 +227,26 @@ class SchedulerCore:
         return not any(self.pool.can_select(r, idle_fast) for r in resources)
 
 
+# Raised by run() and sim.simulate() when the policy leaves ready tasks
+# that no worker may take (SchedulerCore.stalled).
+STALLED = "scheduling stalled: no worker may take any ready task under this policy"
+
+
+def check_worker_kinds(policy: Policy, kinds: set[str]) -> None:
+    """ValueError unless policy may run on workers of these resource kinds.
+
+    The rule run() and sim.simulate() share: the VC policy iff every kind
+    is VC (VC pairs, the VC machine view), oblivious and CATS on fast/slow
+    lanes only, and CATS with at least one fast lane.
+    """
+    if (policy.kind == VC_POLICY) != (kinds == {VC}):
+        raise ValueError("VC policy requires the VC machine view and vice versa")
+    if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
+        raise ValueError(f"{policy.kind} policy requires fast/slow lane workers")
+    if policy.kind == CATS and FAST not in kinds:
+        raise ValueError("CATS requires at least one fast worker")
+
+
 def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
     """Conventional worker set: VC pairs, or half fast / half slow lanes."""
     if count < 1:
@@ -248,7 +270,6 @@ def default_priority_cost(b: int) -> Callable[[Task], float]:
 
 def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         workers: list[WorkerDescriptor], lanes: LaneConfig = DEFAULT_LANES,
-        priority_cost: Optional[Callable[[Task], float]] = None,
         task_hook: Optional[Callable[[Task, WorkerDescriptor], None]] = None,
         ) -> tuple[BlockedMatrix, Trace]:
     """Execute every task of g exactly once over bm's blocks.
@@ -264,14 +285,9 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     if len({w.id for w in workers}) != len(workers):
         raise ValueError("worker ids must be distinct")
     kinds = {w.resource for w in workers}
-    if policy.kind == VC_POLICY and kinds != {VC}:
-        raise ValueError("VC policy requires vc-pair workers only")
-    if policy.kind in (OBLIVIOUS, CATS) and not kinds <= {FAST, SLOW}:
-        raise ValueError(f"{policy.kind} policy requires fast/slow lane workers")
-    if policy.kind == CATS and FAST not in kinds:
-        raise ValueError("CATS requires at least one fast worker")
+    check_worker_kinds(policy, kinds)
 
-    core = SchedulerCore(g, policy, priority_cost or default_priority_cost(bm.b))
+    core = SchedulerCore(g, policy, default_priority_cost(bm.b))
     cond = threading.Condition(threading.Lock())
     state = {"idle_fast": 0, "waiting": 0, "error": None}
     n_fast = sum(w.resource == FAST for w in workers)
@@ -315,8 +331,7 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                 return tid
             state["waiting"] += 1
             if state["waiting"] == len(workers) and core.stalled(kinds, n_fast):
-                raise RuntimeError("scheduling stalled: no worker may take "
-                                   "any ready task under this policy")
+                raise RuntimeError(STALLED)
             fast = worker.resource == FAST
             state["idle_fast"] += fast
             cond.wait()

@@ -3,11 +3,12 @@
 Replays a task graph under the same scheduling policies as the threaded
 runtime, with task durations taken from a cost model instead of measured.
 The event loop drives the runtime's own SchedulerCore, so dependency
-release, enable-event ordering and every ReadyPool decision are the same
-code the threads run. Time is integer nanoseconds; ready-task assignment
-within a simulation tick processes resources in ascending id order, so
-identical inputs give bitwise identical results, recorded as the same
-Trace (:mod:`ampsched.trace`) that a native run gives.
+release, enable-event ordering, every ReadyPool decision, the policy
+check on resource kinds (check_worker_kinds) and the stall error are
+the same code the threads run. Time is integer nanoseconds; ready-task
+assignment within a simulation tick processes resources in ascending id
+order, so identical inputs give bitwise identical results, recorded as
+the same Trace (:mod:`ampsched.trace`) that a native run gives.
 
 A cost model is any object with ``duration_ns(task, resource)``, and it
 prices a task by its kind and the resource alone. So CATS priorities and
@@ -20,8 +21,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .runtime import (CATS, FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, VC_POLICY,
-                      Policy, SchedulerCore, table3_ns)
+from .runtime import (CATS, FAST, SLOW, STALLED, TABLE3_BLOCK, TABLE3_MS, VC,
+                      Policy, SchedulerCore, check_worker_kinds, table3_ns)
 from .taskgraph import Task, TaskGraph, TaskKind, critical_path
 from .trace import Trace, TraceEvent, idle_stats
 
@@ -156,11 +157,8 @@ class SimResult:
 def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
-    if (policy.kind == VC_POLICY) != (machine.view == VC_VIEW):
-        raise ValueError("VC policy requires the VC machine view and vice versa")
     resources = machine.resources()
-    if policy.kind == CATS and not any(r.kind == FAST for r in resources):
-        raise ValueError("CATS requires at least one fast resource")
+    check_worker_kinds(policy, {r.kind for r in resources})
 
     # CATS ranks tasks by fast-resource durations; no other policy asks.
     fast = (fastest_ns(g, [r for r in resources if r.kind == FAST], cost)
@@ -187,14 +185,13 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
             heapq.heappush(running, (now + dur, rid, tid, now))
             free.discard(rid)
         if not running:
-            raise RuntimeError("no runnable task; inconsistent policy state")
-        finish = running[0][0]
-        batch = []
-        while running and running[0][0] == finish:
-            batch.append(heapq.heappop(running))
-        now = finish
-        for _, rid, tid, start in sorted(batch, key=lambda e: (e[1], e[2])):
-            events.append(TraceEvent.of(rid, g.tasks[tid], start, finish))
+            raise RuntimeError(STALLED)
+        # Entries finishing together pop in resource-id order, and a
+        # resource runs one task at a time.
+        now = running[0][0]
+        while running and running[0][0] == now:
+            _, rid, tid, start = heapq.heappop(running)
+            events.append(TraceEvent.of(rid, g.tasks[tid], start, now))
             free.add(rid)
             core.complete(tid)
 

@@ -48,16 +48,15 @@ class Task:
 class TaskGraph:
     tasks: list[Task]
     edges: list[tuple[int, int]]
-    successors: list[list[int]] = field(default_factory=list)
-    indegree: list[int] = field(default_factory=list)
+    successors: list[list[int]] = field(init=False)  # derived from edges
+    indegree: list[int] = field(init=False)
 
     def __post_init__(self):
-        if not self.successors:
-            self.successors = [[] for _ in self.tasks]
-            self.indegree = [0] * len(self.tasks)
-            for p, q in self.edges:
-                self.successors[p].append(q)
-                self.indegree[q] += 1
+        self.successors = [[] for _ in self.tasks]
+        self.indegree = [0] * len(self.tasks)
+        for p, q in self.edges:
+            self.successors[p].append(q)
+            self.indegree[q] += 1
 
 
 class TaskGraphBuilder:

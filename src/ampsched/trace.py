@@ -7,15 +7,14 @@ schedules give equal traces whichever thread or event loop recorded them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .taskgraph import Task
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     worker: int
     task: int
     kind: str
@@ -32,7 +31,7 @@ class TraceEvent:
                    start, end)
 
 
-EVENT_FIELDS = tuple(f.name for f in fields(TraceEvent))
+EVENT_FIELDS = TraceEvent._fields
 
 
 @dataclass
@@ -54,8 +53,7 @@ class Trace:
             "wall_start_ns": self.wall_start,
             "wall_end_ns": self.wall_end,
             "workers": self.workers,
-            "events": [{name: getattr(e, name) for name in EVENT_FIELDS}
-                       for e in self.events],
+            "events": [e._asdict() for e in self.events],
         }, indent=1)
 
     @classmethod

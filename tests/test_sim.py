@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from ampsched import sim
-from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, TABLE3_MS, VC,
-                              VC_POLICY, Policy, default_priority_cost)
+from ampsched.dense import BlockedMatrix, make_spd
+from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, STALLED, TABLE3_MS,
+                              VC, VC_POLICY, Policy, WorkerDescriptor,
+                              default_priority_cost, run)
 from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
                           Table3CostModel, lower_bounds, preset_exynos5422,
                           simulate)
@@ -194,6 +196,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(g, machine, Table3CostModel(), Policy(CATS))
 
+    def test_stall_raises_the_runtime_message(self):
+        # Fast lanes alone, without stealing, run out of critical work.
+        g = build_cholesky_dag(4)
+        machine = MachineModel(((FAST, 1.0),))
+        with pytest.raises(RuntimeError, match="stalled") as exc:
+            simulate(g, machine, Table3CostModel(4),
+                     Policy(CATS, stealing="none"))
+        assert str(exc.value) == STALLED
+
     def test_cats_beats_oblivious_on_14x14_grid(self):
         g = build_cholesky_dag(14)
         machine, cost = preset_exynos5422(GTS, 448)
@@ -215,6 +226,49 @@ def bounds_oracle(g, machine, cost) -> tuple[int, int]:
         longest[t.id] = dmin[t.id] + max(
             (longest[q] for q in g.successors[t.id]), default=0)
     return max(longest, default=0), -(-sum(dmin) // len(rs))
+
+
+def _outcome(call):
+    """None if call() returns, else the message of the ValueError it raises."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestWorkerKindRule:
+    # (policy, worker kinds, accepted): run() on workers of these kinds and
+    # simulate() on a machine view of these kinds must agree.
+    CASES = [
+        (OBLIVIOUS, {FAST}, True), (OBLIVIOUS, {SLOW}, True),
+        (OBLIVIOUS, {FAST, SLOW}, True), (OBLIVIOUS, {VC}, False),
+        (OBLIVIOUS, {FAST, VC}, False),
+        (CATS, {FAST}, True), (CATS, {SLOW}, False),
+        (CATS, {FAST, SLOW}, True), (CATS, {VC}, False),
+        (CATS, {FAST, VC}, False),
+        (VC_POLICY, {FAST}, False), (VC_POLICY, {SLOW}, False),
+        (VC_POLICY, {FAST, SLOW}, False), (VC_POLICY, {VC}, True),
+        (VC_POLICY, {FAST, VC}, False),
+    ]
+
+    @pytest.mark.parametrize("kind,kinds,accepted", CASES, ids=[
+        f"{k}-{'+'.join(sorted(ks))}" for k, ks, _ in CASES])
+    def test_run_and_simulate_agree(self, kind, kinds, accepted):
+        policy = Policy(kind)
+        g = build_cholesky_dag(2)
+        if kinds == {VC}:  # the VC view of one fast+slow pair
+            machine = MachineModel(((FAST, 4.0), (SLOW, 1.0)), VC_VIEW)
+        else:
+            machine = MachineModel(tuple((k, 1.0) for k in sorted(kinds)))
+        assert {r.kind for r in machine.resources()} == kinds
+        workers = [WorkerDescriptor(i, k) for i, k in enumerate(sorted(kinds))]
+        bm = BlockedMatrix.from_matrix(make_spd(8, 1), 4)
+        ran = _outcome(lambda: run(g, bm, policy, workers))
+        simulated = _outcome(lambda: simulate(g, machine, Table3CostModel(4),
+                                              policy))
+        assert ran == simulated
+        assert (ran is None) == accepted
 
 
 class TestLowerBounds:
