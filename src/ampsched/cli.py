@@ -174,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--b", type=_int_list,
                    help="block size or comma-separated sweep")
-    p.add_argument("--policy", choices=[runtime.OBLIVIOUS, runtime.CATS,
-                                        runtime.VC_POLICY])
+    p.add_argument("--policy", choices=runtime.POLICIES)
     p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--reps", type=int)
@@ -188,8 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view", choices=[sim.GTS, sim.VC_VIEW], default=sim.GTS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--policy", choices=[runtime.OBLIVIOUS, runtime.CATS,
-                                        runtime.VC_POLICY],
+    p.add_argument("--policy", choices=runtime.POLICIES,
                    default=runtime.OBLIVIOUS)
     p.add_argument("--cost", choices=["flops", "table3"], default="table3")
     p.add_argument("--csv", default="-")

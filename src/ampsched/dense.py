@@ -169,10 +169,6 @@ class BlockedMatrix:
         ]
         return cls(n, b, blocks)
 
-    def block_dim(self, i: int) -> int:
-        """Row/column extent of the i-th tile (the last one may be ragged)."""
-        return min((i + 1) * self.b, self.n) - i * self.b
-
     def assemble(self) -> np.ndarray:
         """Reassemble the original matrix; bitwise inverse of from_matrix."""
         out = np.empty((self.n, self.n), order="F")

@@ -13,14 +13,16 @@ itself, and ``dtrsm`` is scipy's own BLAS routine called through ctypes
 lanes of a dual-lane call, and the workers of a threaded run, compute at
 the same time.
 
-The dual-lane (fast+slow) variants split the row or column space between
-the calling thread and a persistent slow-lane thread (LanePair, a
-one-thread executor) with split_loop3, whose cut always lies on that
-grid. A split therefore changes which lane computes a slab, never how it
-is computed, so the asymmetric kernels are bitwise identical to the
-sequential ones and the factorization is bitwise independent of the
-schedule. Nothing relies on a BLAS call giving the same bits when it is
-cut at a different place.
+The dual-lane (fast+slow) variants share the slabs between the calling
+thread and a persistent slow-lane thread (LanePair, a one-thread
+executor). The lanes' speed ratio only sets the starting split
+(split_loop3, a cut on that grid); a lane that runs out of slabs steals
+the other's from the back, so the pair balances itself when the ratio
+is wrong. Which lane computes a slab never changes how it is computed,
+so the asymmetric kernels are bitwise identical to the sequential ones
+and the factorization is bitwise independent of the schedule. Nothing
+relies on a BLAS call giving the same bits when it is cut at a
+different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
 
@@ -34,6 +36,7 @@ import contextlib
 import ctypes
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
@@ -54,7 +57,9 @@ MICRO_SLAB = 32
 class LaneConfig:
     """A fast lane and a slow lane with relative throughputs.
 
-    speed_slow may be zero, which disables the slow lane entirely.
+    The ratio sets the starting split of a dual-lane call; idle lanes
+    then steal slabs. speed_slow may be zero, which disables the slow
+    lane entirely.
     """
 
     speed_fast: float = 4.59
@@ -84,7 +89,8 @@ def split_loop3(m: int, lanes: LaneConfig = DEFAULT_LANES) -> Loop3Split:
     The fast lane's proportional share is m * speed_fast / (speed_fast +
     speed_slow) leading rows. The cut is the point of {0, 32, 64, ...} and
     {m} nearest that share, ties going to the fast lane, so the lane with
-    the larger share never gets zero rows.
+    the larger share never gets zero rows. The split is where the lanes
+    start; _run_lanes lets an idle lane steal from the other's range.
     """
     if m < 0:
         raise ValueError("row count must be nonnegative")
@@ -240,16 +246,38 @@ def lane_pair():
 
 
 def _run_lanes(m: int, lanes: LaneConfig, run_range) -> None:
-    """Run run_range(lo, hi) over [0, m) split between the two lanes."""
-    split = split_loop3(m, lanes)
-    fast = partial(run_range, *split.fast_range)
-    if split.slow_range[1] == split.slow_range[0]:
-        fast()
+    """Run run_range over the slabs of [0, m), one call per slab, on two lanes.
+
+    split_loop3's cut is only the starting split: each lane takes its own
+    slabs front to back, then steals the other lane's remaining slabs
+    from the back. When the slow lane starts with none, the caller runs
+    run_range(0, m) alone. A lane failure stops the hand-out and is
+    re-raised once both lanes have stopped.
+    """
+    cut = split_loop3(m, lanes).fast_range[1]
+    if cut == m:
+        run_range(0, m)
         return
-    slow = partial(run_range, *split.slow_range)
+    starts = deque(range(0, cut, MICRO_SLAB)), deque(range(cut, m, MICRO_SLAB))
+    lock = threading.Lock()  # one slab is handed out at a time
+
+    def lane(own: deque, other: deque) -> None:
+        try:
+            while True:
+                with lock:
+                    if not (own or other):
+                        return
+                    s = own.popleft() if own else other.pop()
+                run_range(s, min(s + MICRO_SLAB, m))
+        except BaseException:
+            with lock:
+                own.clear()
+                other.clear()
+            raise
+
     held = getattr(_owned, "pair", None)
     with contextlib.nullcontext(held) if held else LanePair() as pair:
-        pair.run(slow, fast)
+        pair.run(partial(lane, *starts[::-1]), partial(lane, *starts))
 
 
 def _check_gemm_shapes(a, b, c) -> int:
@@ -270,8 +298,9 @@ def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray,
               lanes: LaneConfig = DEFAULT_LANES) -> np.ndarray:
     """Dual-lane C := C - A^T B. Bitwise identical to gemm_blocked.
 
-    The rows of C are split by split_loop3; each lane updates its own
-    slabs while both read A and B, and the lanes join before returning.
+    The row slabs of C are shared out as in _run_lanes; each lane updates
+    the slabs it takes while both read A and B, and the lanes join before
+    returning.
     """
     m = _check_gemm_shapes(a, b, c)
     _run_lanes(m, lanes, partial(_gemm_rows, a, b, c))

@@ -46,6 +46,7 @@ VC = "vc"
 OBLIVIOUS = "oblivious"
 CATS = "cats"
 VC_POLICY = "vc"
+POLICIES = (OBLIVIOUS, CATS, VC_POLICY)
 
 # Average per-task durations (ms) measured on the Exynos 5422 at block
 # size 448: fast = Cortex-A15 lane, slow = Cortex-A7 lane, vc = A15+A7
@@ -91,7 +92,7 @@ class Policy:
     stealing: str = "bi"  # none | uni | bi
 
     def __post_init__(self):
-        if self.kind not in (OBLIVIOUS, CATS, VC_POLICY):
+        if self.kind not in POLICIES:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if not 0.0 <= self.cats_threshold <= 1.0:
             raise ValueError("cats_threshold must lie in [0, 1]")
@@ -128,9 +129,6 @@ class ReadyPool:
 
     def __len__(self) -> int:
         return len(self._noncrit) + len(self._crit)
-
-    def is_critical(self, task_id: int) -> bool:
-        return self.priorities is not None and self.priorities[task_id] >= self._cut
 
     def push(self, task_id: int, event_seq: int) -> None:
         if self.policy.kind != CATS:

@@ -1,4 +1,4 @@
-"""Shared test helpers: random DAG generation, timeouts and acceptance reporting."""
+"""Shared test helpers: random DAGs, lane-pair counting, timeouts and acceptance reporting."""
 
 import re
 import threading
@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from ampsched import kernels
 from ampsched.taskgraph import TaskGraph, TaskGraphBuilder, TaskKind
 
 KINDS = [TaskKind.C, TaskKind.T, TaskKind.S, TaskKind.G]
@@ -58,6 +59,23 @@ def check_trace_legality(g: TaskGraph, trace) -> None:
     for p, q in g.edges:
         assert end[p] <= start[q], f"edge ({p}, {q}) violated: " \
             f"pred ends {end[p]}, succ starts {start[q]}"
+
+
+def count_lane_pairs(monkeypatch):
+    """Record every kernels.LanePair made and every handoff to its lane."""
+    made, handoffs = [], []
+
+    class Counted(kernels.LanePair):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def run(self, slow, fast):
+            handoffs.append(self)
+            super().run(slow, fast)
+
+    monkeypatch.setattr(kernels, "LanePair", Counted)
+    return made, handoffs
 
 
 def run_with_timeout(fn, timeout: float = 20.0):

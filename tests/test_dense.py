@@ -121,7 +121,7 @@ class TestBlockedMatrix:
 
     def test_ragged_block_dims(self):
         bm = BlockedMatrix.from_matrix(dense.make_spd(10, 1), 4)
-        assert [bm.block_dim(i) for i in range(bm.s)] == [4, 4, 2]
+        assert [bm.blocks[i][i].shape[0] for i in range(bm.s)] == [4, 4, 2]
         assert bm.blocks[2][2].shape == (2, 2)
         assert bm.blocks[0][2].shape == (4, 2)
 

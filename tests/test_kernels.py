@@ -1,7 +1,9 @@
 """Slab-grid kernels against naive oracles; dual-lane bitwise identity."""
 
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from ampsched import dense, kernels
 from ampsched.kernels import (MICRO_SLAB, LaneConfig, gemm_asym, gemm_blocked,
                               split_loop3, syrk_asym, syrk_blocked, trsm_asym,
                               trsm_blocked)
-from conftest import run_with_timeout
+from conftest import count_lane_pairs, run_with_timeout
 
 EPS = np.finfo(np.float64).eps
 
@@ -239,6 +241,169 @@ class TestLanePair:
 
         run_with_timeout(calls)
         assert threading.active_count() == before
+
+
+def on_slow_lane() -> bool:
+    return threading.current_thread().name.startswith("slow-lane")
+
+
+def record(calls: list, hook=None):
+    """Wrap a slab-range kernel loop: log (lo, hi, on slow lane), then run hook."""
+    def wrap(orig):
+        def run(*args):
+            lo, hi = args[-2:]
+            calls.append((lo, hi, on_slow_lane()))
+            if hook:
+                hook(lo, hi)
+            orig(*args)
+        return run
+    return wrap
+
+
+def slabs(lo, hi, m):
+    return [(s, min(s + MICRO_SLAB, m)) for s in range(lo, hi, MICRO_SLAB)]
+
+
+class TestSlabStealing:
+    """The speed ratio sets the starting split; an idle lane steals slabs."""
+
+    EVEN = LaneConfig(1.0, 1.0)  # 256 rows: slabs 0-96 fast, 128-224 slow
+    M = 8 * MICRO_SLAB
+
+    def held_run(self, monkeypatch, hold_slow: bool):
+        """gemm_asym at 1:1 with one lane held inside its first slab until
+        the other lane has taken all seven other slabs. Returns the
+        (lo, hi) each lane computed, in order, as (fast, slow)."""
+        calls = []
+        inside, release = threading.Event(), threading.Event()
+
+        def hook(lo, hi):
+            mine = [c for c in calls if c[2] == on_slow_lane()]
+            if len(mine) == 1 and on_slow_lane() == hold_slow:
+                inside.set()
+                release.wait(5)
+            elif len(mine) == 1:
+                inside.wait(5)  # the held lane has taken its first slab
+            elif len(mine) == 7:
+                release.set()
+
+        a, b, c0 = rand((8, self.M), 51), rand((8, 8), 52), rand((self.M, 8), 53)
+        expect = gemm_blocked(a, b, c0.copy(order="F"))
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            record(calls, hook)(kernels._gemm_rows))
+        out = run_with_timeout(
+            lambda: gemm_asym(a, b, c0.copy(order="F"), self.EVEN))
+        np.testing.assert_array_equal(out, expect)
+        return tuple([(lo, hi) for lo, hi, slow in calls if slow == lane]
+                     for lane in (False, True))
+
+    def test_fast_lane_takes_held_slow_lanes_far_slabs(self, monkeypatch):
+        fast, slow = self.held_run(monkeypatch, hold_slow=True)
+        assert slow == [(128, 160)]
+        assert fast == slabs(0, 128, self.M) + slabs(160, 256, self.M)[::-1]
+
+    def test_slow_lane_takes_held_fast_lanes_far_slabs(self, monkeypatch):
+        fast, slow = self.held_run(monkeypatch, hold_slow=False)
+        assert fast == [(0, 32)]
+        assert slow == slabs(128, 256, self.M) + slabs(32, 128, self.M)[::-1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 200), k=st.integers(1, 40),
+           lanes=st.sampled_from(RATIOS),
+           delays=st.lists(st.sampled_from([0.0, 1e-4, 1e-3]),
+                           min_size=1, max_size=7))
+    def test_every_slab_once_and_bitwise(self, m, k, lanes, delays):
+        a, b, c0 = rand((k, m), m), rand((k, 7), 3), rand((m, 7), k)
+        cs0, u, rhs0 = rand((m, m), k + 1), upper(k, m), rand((k, m), k + 2)
+        expect = (gemm_blocked(a, b, c0.copy(order="F")),
+                  syrk_blocked(a, cs0.copy(order="F")),
+                  trsm_blocked(u, rhs0.copy(order="F")))
+        calls = []
+        wrap = record(calls, lambda lo, hi: time.sleep(
+            delays[lo // MICRO_SLAB % len(delays)]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_gemm_rows", wrap(kernels._gemm_rows))
+            mp.setattr(kernels, "_trsm_cols", wrap(kernels._trsm_cols))
+            for run, want in zip((
+                    lambda: gemm_asym(a, b, c0.copy(order="F"), lanes),
+                    lambda: syrk_asym(a, cs0.copy(order="F"), lanes),
+                    lambda: trsm_asym(u, rhs0.copy(order="F"), lanes)), expect):
+                del calls[:]
+                np.testing.assert_array_equal(run(), want)
+                done = sorted((lo, hi) for lo, hi, _ in calls)
+                if split_loop3(m, lanes).slow_range[0] == m:
+                    assert done == [(0, m)]  # the caller alone, in one call
+                else:
+                    assert done == slabs(0, m, m)
+
+    def test_stress_short_switch_interval(self):
+        # Four callers, each with its own pair (eight threads on fewer
+        # cores), switching often: a slab handed out twice or never
+        # would change C's bits.
+        m = 10 * MICRO_SLAB
+        a, b, c0 = rand((16, m), 62), rand((16, 5), 63), rand((m, 5), 64)
+        expect = gemm_blocked(a, b, c0.copy(order="F"))
+
+        def caller():
+            with kernels.lane_pair():
+                for lanes in RATIOS * 5:
+                    np.testing.assert_array_equal(
+                        gemm_asym(a, b, c0.copy(order="F"), lanes), expect)
+
+        def callers():
+            with ThreadPoolExecutor(4) as pool:
+                for future in [pool.submit(caller) for _ in range(4)]:
+                    future.result()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_with_timeout(callers)
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("fail_slow", [False, True], ids=["fast", "slow"])
+    def test_first_slab_failure_stops_the_hand_out(self, monkeypatch,
+                                                    fail_slow):
+        calls, failed = [], threading.Event()
+
+        def hook(lo, hi):
+            if on_slow_lane() == fail_slow:
+                failed.set()
+                raise FloatingPointError("first slab")
+            failed.wait(5)
+            time.sleep(0.005)  # lets the failing lane stop the hand-out
+
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            record(calls, hook)(kernels._gemm_rows))
+        m = 16 * MICRO_SLAB
+        a, b, c = rand((8, m), 54), rand((8, 8), 55), rand((m, 8), 56)
+        with pytest.raises(FloatingPointError, match="first slab"):
+            run_with_timeout(lambda: gemm_asym(a, b, c, self.EVEN))
+        assert len(calls) < m // MICRO_SLAB
+        assert all(hi - lo == MICRO_SLAB and lo % MICRO_SLAB == 0
+                   for lo, hi, _ in calls)
+
+    @pytest.mark.parametrize("m,lanes,handoffs", [
+        (256, LaneConfig(speed_slow=0.0), 0),
+        (32, kernels.DEFAULT_LANES, 0),
+        (4, kernels.DEFAULT_LANES, 0),
+        (128, EVEN, 1),
+    ])
+    def test_handoff_only_when_the_slow_lane_starts_with_slabs(
+            self, monkeypatch, m, lanes, handoffs):
+        made, handed = count_lane_pairs(monkeypatch)
+        calls = []
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            record(calls)(kernels._gemm_rows))
+        monkeypatch.setattr(kernels, "_trsm_cols",
+                            record(calls)(kernels._trsm_cols))
+        gemm_asym(rand((5, m), 57), rand((5, 3), 58), rand((m, 3), 59), lanes)
+        trsm_asym(upper(5, 60), rand((5, m), 61), lanes)
+        assert len(made) == len(handed) == 2 * handoffs
+        # gemm's row slabs, then trsm's column slabs, each computed once
+        per_call = slabs(0, m, m) if handoffs else [(0, m)]
+        assert sorted((lo, hi) for lo, hi, _ in calls) == sorted(per_call * 2)
 
 
 class TestTrsmPlumbing:
