@@ -153,14 +153,15 @@ def cmd_trace(args) -> int:
     try:
         with open(args.infile) as fh:
             trace = Trace.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.infile!r}: {exc}", file=sys.stderr)
         return 1
     stats = idle_stats(trace, max(trace.wall_end - trace.wall_start, 1))
     _write_csv(args.summary, SUMMARY_FIELDS, [
         {"worker": w, "running_fraction": stats[w]["running"],
          "idle_fraction": stats[w]["idle"]} for w in sorted(stats)])
-    _write_csv(args.kinds or args.summary + ".kinds.csv", KIND_FIELDS, [
+    kinds = args.kinds or ("-" if args.summary == "-" else args.summary + ".kinds.csv")
+    _write_csv(kinds, KIND_FIELDS, [
         {"kind": kind, "count": count, "mean_ms": mean_ns / 1e6}
         for kind, (count, mean_ns) in kind_stats(trace).items()])
     return 0

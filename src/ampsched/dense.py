@@ -1,10 +1,10 @@
 """Dense matrix storage, blocked partitioning and reference kernels.
 
 Matrices are plain float64 numpy arrays in column-major (Fortran) order.
-The reference kernels here are deliberately simple per-element routines:
-they act as independent oracles for the slab-blocked kernels in
-:mod:`ampsched.kernels` and as the diagonal-block factorization used by the
-runtime.
+``ref_gemm``, ``ref_syrk`` and ``ref_trsm`` are deliberately simple
+per-element routines: independent oracles for the slab-blocked kernels in
+:mod:`ampsched.kernels`. ``ref_potrf``, the runtime's diagonal-block (C task)
+factorization, is one LAPACK ``dpotrf`` call.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -59,23 +60,21 @@ def make_spd(n: int, seed: int) -> np.ndarray:
 
 
 def ref_potrf(a: np.ndarray) -> np.ndarray:
-    """Unblocked textbook Cholesky factorization, A = U^T U.
+    """A = U^T U by one LAPACK ``dpotrf('U')`` call; ``a`` is left untouched.
 
-    Returns the upper-triangular factor U with zero strictly-lower part.
+    Returns U with zero strictly-lower part; a's lower part is not read.
+    Raises NotPositiveDefiniteError at the first non-positive or non-finite
+    pivot: OpenBLAS's dpotrf passes NaN pivots. The name stays because the
+    benchmark's C-task span and its ``dense.ref_potrf.*`` metrics key on it.
     """
     a = _as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
+    if a.shape[0] != a.shape[1]:
         raise ValueError("ref_potrf requires a square matrix")
-    u = np.zeros((n, n), order="F")
-    for j in range(n):
-        d = a[j, j] - np.dot(u[:j, j], u[:j, j])
-        if d <= 0.0 or not math.isfinite(d):
-            raise NotPositiveDefiniteError(j)
-        ujj = math.sqrt(d)
-        u[j, j] = ujj
-        if j + 1 < n:
-            u[j, j + 1:] = (a[j, j + 1:] - u[:j, j] @ u[:j, j + 1:]) / ujj
+    u, info = lapack.dpotrf(a, lower=0, clean=1)
+    done = info - 1 if info > 0 else len(u)
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(u)[:done]))
+    if bad.size or info > 0:
+        raise NotPositiveDefiniteError(int(bad[0]) if bad.size else done)
     return u
 
 
@@ -162,11 +161,8 @@ class BlockedMatrix:
         if not 1 <= b <= n:
             raise ValueError(f"block size {b} out of range [1, {n}]")
         s = -(-n // b)
-        blocks = [
-            [np.asfortranarray(a[i * b:min((i + 1) * b, n), j * b:min((j + 1) * b, n)].copy())
-             for j in range(s)]
-            for i in range(s)
-        ]
+        blocks = [[np.array(a[i * b:(i + 1) * b, j * b:(j + 1) * b], order="F")
+                   for j in range(s)] for i in range(s)]
         return cls(n, b, blocks)
 
     def assemble(self) -> np.ndarray:

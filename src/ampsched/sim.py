@@ -69,8 +69,8 @@ class MachineModel:
                 for i, (f, s) in enumerate(zip(fast, slow))]
 
 
-# Fast/slow gemm throughput ratio implied by the table; used as the
-# default lane speed ratio elsewhere.
+# Fast/slow gemm throughput ratio implied by the table: the fast cores'
+# speed in the Exynos model. kernels.LaneConfig's 4.59 is this, rounded.
 FAST_SLOW_RATIO = TABLE3_MS[SLOW][TaskKind.G] / TABLE3_MS[FAST][TaskKind.G]
 
 

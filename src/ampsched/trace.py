@@ -65,7 +65,7 @@ class Trace:
             events = [TraceEvent(*values(r)) for r in doc["events"]]
             return cls(events, doc["wall_start_ns"], doc["wall_end_ns"],
                        list(doc.get("workers", [])))
-        except TypeError as exc:  # a document, event list or event of the wrong type
+        except (KeyError, TypeError) as exc:  # a missing key or a wrong type
             raise ValueError(f"malformed trace: {exc}") from exc
 
 

@@ -179,6 +179,19 @@ class TestTraceCmd:
         assert rc == 0
         assert (tmp_path / "sum.csv.kinds.csv").exists()
 
+    def test_summary_to_stdout_sends_kinds_there_too(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cli.main(["simulate", "--n", "896", "--b", "448",
+                  "--csv", "s.csv", "--trace", "trace.json"])
+        capsys.readouterr()
+        rc = cli.main(["trace", "--in", "trace.json", "--summary", "-"])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert ",".join(cli.SUMMARY_FIELDS) in lines
+        assert ",".join(cli.KIND_FIELDS) in lines
+        assert not (tmp_path / "-.kinds.csv").exists()
+
     @pytest.mark.parametrize("text", [
         "{not json", "[]", "null",
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [1]}'],

@@ -51,6 +51,44 @@ class TestRefPotrf:
             dense.ref_potrf(a)
         assert exc.value.index == 3
 
+    @pytest.mark.parametrize("entries, pivot", [
+        ({(2, 2): np.nan}, 2),
+        ({(1, 4): np.nan}, 4),
+        ({(3, 3): np.inf}, 3),
+        ({(0, 3): np.inf}, 3),
+        ({(3, 3): -1.0}, 3),
+        ({(1, 1): np.inf, (4, 4): -1.0}, 1)],
+        ids=["nan-diagonal", "nan-above", "inf-diagonal", "inf-above",
+             "negative", "inf-before-negative"])
+    def test_reports_first_bad_pivot(self, entries, pivot):
+        a = dense.make_spd(6, 1)
+        for (row, col), value in entries.items():
+            a[row, col] = value
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            dense.ref_potrf(a)
+        assert exc.value.index == pivot
+
+    def test_c_ordered_input(self):
+        a = dense.make_spd(7, 2)
+        u = dense.ref_potrf(np.ascontiguousarray(a))
+        assert u.flags.f_contiguous
+        np.testing.assert_array_equal(u, dense.ref_potrf(a))
+
+    @pytest.mark.parametrize("a, expected", [
+        (np.zeros((0, 0)), np.zeros((0, 0))),
+        (np.array([[4.0]]), np.array([[2.0]]))], ids=["0x0", "1x1"])
+    def test_tiny_matrices(self, a, expected):
+        np.testing.assert_array_equal(dense.ref_potrf(a), expected)
+
+    def test_input_unchanged_and_lower_part_unread(self):
+        a = dense.make_spd(9, 3)
+        a[5, 2] = a[8, 0] = np.nan
+        before = a.copy()
+        u = dense.ref_potrf(a)
+        np.testing.assert_array_equal(a, before)
+        np.testing.assert_array_equal(u, np.triu(u))
+        np.testing.assert_array_equal(u, dense.ref_potrf(np.triu(a)))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             dense.ref_potrf(np.ones((3, 4)))

@@ -59,7 +59,10 @@ class TestJson:
         "[]", "null", "3",
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [1]}',
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": 5}',
-        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], "workers": 2}'])
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], "workers": 2}',
+        '{"events": []}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 0, "end_ns": 5}]}'])
     def test_wrong_shape_raises_value_error(self, text):
         with pytest.raises(ValueError):
             Trace.from_json(text)
