@@ -1,14 +1,14 @@
 """Dual-lane GEMM: split one kernel call across a fast and a slow lane.
 
-The 32-row slabs of C := C - A^T B are shared between two threads. Their
-speed ratio sets the starting split, a cut on the slab grid; a thread
-that runs out of slabs then steals the other's from the back. Each slab
+The 32-row slabs of C := C - A^T B are shared between two threads from
+one deque: the calling thread takes slabs from the front, the lane
+thread from the back, until none is left. Each slab
 is one BLAS call on the same operands whichever lane runs it, so the
 dual-lane result is bitwise identical to the single-lane one -- the
 sharing changes who computes each slab, never how.
 
 Also runs the crossover probe, with one lane pair held across all sizes as
-on a VC worker: below some matrix size, handing the slow lane its share
+on a VC worker: below some matrix size, handing slabs to the slow lane
 and waiting for it costs more than the lane contributes.
 """
 

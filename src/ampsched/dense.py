@@ -177,6 +177,9 @@ class BlockedMatrix:
         return out
 
     def upper_factor(self) -> np.ndarray:
-        """Assemble and keep only the upper triangle (the Cholesky factor)."""
-        return np.asfortranarray(np.triu(self.assemble()))
+        """Assemble, then zero the strict lower triangle: the factor U."""
+        out = self.assemble()
+        for j in range(self.n - 1):  # F order: each run is contiguous
+            out[j + 1:, j] = 0.0
+        return out
 

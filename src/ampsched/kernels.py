@@ -15,14 +15,14 @@ the same time.
 
 The dual-lane (fast+slow) variants share the slabs between the calling
 thread and a persistent slow-lane thread (LanePair, a one-thread
-executor). The lanes' speed ratio only sets the starting split
-(split_loop3, a cut on that grid); a lane that runs out of slabs steals
-the other's from the back, so the pair balances itself when the ratio
-is wrong. Which lane computes a slab never changes how it is computed,
-so the asymmetric kernels are bitwise identical to the sequential ones
-and the factorization is bitwise independent of the schedule. Nothing
-relies on a BLAS call giving the same bits when it is cut at a
-different place.
+executor) through one deque of slab starts: the caller takes slabs from
+the front and the lane thread from the back, one at a time, so the pair
+balances itself without a speed ratio, as a dynamic scheduler does. A
+call with a single slab runs on the caller alone. Which lane computes a
+slab never changes how it is computed, so the asymmetric kernels are
+bitwise identical to the sequential ones and the factorization is
+bitwise independent of the schedule. Nothing relies on a BLAS call
+giving the same bits when it is cut at a different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
 
@@ -38,7 +38,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -48,57 +47,9 @@ from scipy.linalg import cython_blas
 
 from .dense import SingularTriangularError
 
-# Row (gemm/syrk) or column (trsm) extent of one BLAS call. Lane splits
-# land on this grid; see the module docstring.
+# Row (gemm/syrk) or column (trsm) extent of one BLAS call. The lanes
+# share out slabs on this grid; see the module docstring.
 MICRO_SLAB = 32
-
-
-@dataclass(frozen=True)
-class LaneConfig:
-    """A fast lane and a slow lane with relative throughputs.
-
-    The ratio sets the starting split of a dual-lane call; idle lanes
-    then steal slabs. speed_slow may be zero, which disables the slow
-    lane entirely.
-    """
-
-    speed_fast: float = 4.59
-    speed_slow: float = 1.0
-
-    def __post_init__(self):
-        if self.speed_fast <= 0:
-            raise ValueError("speed_fast must be positive")
-        if self.speed_slow < 0:
-            raise ValueError("speed_slow must be nonnegative")
-
-
-DEFAULT_LANES = LaneConfig()
-
-
-@dataclass(frozen=True)
-class Loop3Split:
-    """Disjoint half-open row ranges assigned to the two lanes."""
-
-    fast_range: tuple[int, int]
-    slow_range: tuple[int, int]
-
-
-def split_loop3(m: int, lanes: LaneConfig = DEFAULT_LANES) -> Loop3Split:
-    """Partition [0, m) between the lanes at a cut on the slab grid.
-
-    The fast lane's proportional share is m * speed_fast / (speed_fast +
-    speed_slow) leading rows. The cut is the point of {0, 32, 64, ...} and
-    {m} nearest that share, ties going to the fast lane, so the lane with
-    the larger share never gets zero rows. The split is where the lanes
-    start; _run_lanes lets an idle lane steal from the other's range.
-    """
-    if m < 0:
-        raise ValueError("row count must be nonnegative")
-    share = m * lanes.speed_fast / (lanes.speed_fast + lanes.speed_slow)
-    lo = int(share) // MICRO_SLAB * MICRO_SLAB
-    hi = min(lo + MICRO_SLAB, m)
-    cut = hi if hi - share <= share - lo else lo
-    return Loop3Split((0, cut), (cut, m))
 
 
 def _capsule_pointer(capsule) -> int:
@@ -245,39 +196,36 @@ def lane_pair():
             _owned.pair = outer
 
 
-def _run_lanes(m: int, lanes: LaneConfig, run_range) -> None:
+def _run_lanes(m: int, run_range) -> None:
     """Run run_range over the slabs of [0, m), one call per slab, on two lanes.
 
-    split_loop3's cut is only the starting split: each lane takes its own
-    slabs front to back, then steals the other lane's remaining slabs
-    from the back. When the slow lane starts with none, the caller runs
-    run_range(0, m) alone. A lane failure stops the hand-out and is
-    re-raised once both lanes have stopped.
+    The slab starts sit in one deque: the caller pops from the front and
+    the lane thread from the back, one slab per lock hold. A single slab
+    (m <= MICRO_SLAB) runs on the caller with no handoff. A lane failure
+    empties the deque and is re-raised once both lanes have stopped.
     """
-    cut = split_loop3(m, lanes).fast_range[1]
-    if cut == m:
+    if m <= MICRO_SLAB:
         run_range(0, m)
         return
-    starts = deque(range(0, cut, MICRO_SLAB)), deque(range(cut, m, MICRO_SLAB))
+    starts = deque(range(0, m, MICRO_SLAB))
     lock = threading.Lock()  # one slab is handed out at a time
 
-    def lane(own: deque, other: deque) -> None:
+    def lane(take) -> None:
         try:
             while True:
                 with lock:
-                    if not (own or other):
+                    if not starts:
                         return
-                    s = own.popleft() if own else other.pop()
+                    s = take()
                 run_range(s, min(s + MICRO_SLAB, m))
         except BaseException:
             with lock:
-                own.clear()
-                other.clear()
+                starts.clear()
             raise
 
     held = getattr(_owned, "pair", None)
     with contextlib.nullcontext(held) if held else LanePair() as pair:
-        pair.run(partial(lane, *starts[::-1]), partial(lane, *starts))
+        pair.run(partial(lane, starts.pop), partial(lane, starts.popleft))
 
 
 def _check_gemm_shapes(a, b, c) -> int:
@@ -294,8 +242,7 @@ def gemm_blocked(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-              lanes: LaneConfig = DEFAULT_LANES) -> np.ndarray:
+def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dual-lane C := C - A^T B. Bitwise identical to gemm_blocked.
 
     The row slabs of C are shared out as in _run_lanes; each lane updates
@@ -303,7 +250,7 @@ def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     returning.
     """
     m = _check_gemm_shapes(a, b, c)
-    _run_lanes(m, lanes, partial(_gemm_rows, a, b, c))
+    _run_lanes(m, partial(_gemm_rows, a, b, c))
     return c
 
 
@@ -312,10 +259,9 @@ def syrk_blocked(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return gemm_blocked(a, a, c)
 
 
-def syrk_asym(a: np.ndarray, c: np.ndarray,
-              lanes: LaneConfig = DEFAULT_LANES) -> np.ndarray:
-    """Dual-lane symmetric update; row space split as in gemm_asym."""
-    return gemm_asym(a, a, c, lanes)
+def syrk_asym(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Dual-lane symmetric update; row slabs shared out as in gemm_asym."""
+    return gemm_asym(a, a, c)
 
 
 def _check_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -349,14 +295,13 @@ def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def trsm_asym(u: np.ndarray, b: np.ndarray,
-              lanes: LaneConfig = DEFAULT_LANES) -> np.ndarray:
-    """Dual-lane triangular solve; B's columns are split as in gemm_asym.
+def trsm_asym(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dual-lane triangular solve; B's column slabs shared out as in gemm_asym.
 
     Bitwise identical to trsm_blocked, with the same operand rules.
     """
     u = _check_trsm(u, b)
-    _run_lanes(b.shape[1], lanes, partial(_trsm_cols, u, b))
+    _run_lanes(b.shape[1], partial(_trsm_cols, u, b))
     return b
 
 
@@ -365,9 +310,10 @@ CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
 
 
 def kernel_crossover_probe(sizes: list[int]) -> list[dict]:
-    """Time sequential vs dual-lane (DEFAULT_LANES) gemm at square sizes.
+    """Time sequential vs dual-lane gemm at square sizes.
 
-    The dual-lane calls share one lane pair held across all sizes, as on
+    A size of at most MICRO_SLAB is one slab, which the dual-lane call
+    runs on the caller alone. The dual-lane calls share one lane pair held across all sizes, as on
     a VC worker, so asym_seconds includes the lane handoff but no thread
     start. Host-dependent wall-clock measurements: where the dual-lane
     call starts to win is a property of the host it runs on, which no

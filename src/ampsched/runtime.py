@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 from . import dense, kernels
 from .dense import BlockedMatrix, NotPositiveDefiniteError
-from .kernels import DEFAULT_LANES, LaneConfig
 from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels
 from .trace import Trace, TraceEvent
 
@@ -267,7 +266,7 @@ def default_priority_cost(b: int) -> Callable[[Task], float]:
 
 
 def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
-        workers: list[WorkerDescriptor], lanes: LaneConfig = DEFAULT_LANES,
+        workers: list[WorkerDescriptor],
         task_hook: Optional[Callable[[Task, WorkerDescriptor], None]] = None,
         ) -> tuple[BlockedMatrix, Trace]:
     """Execute every task of g exactly once over bm's blocks.
@@ -298,7 +297,6 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         # VC pairs split each call across both lanes; lane workers run
         # the sequential kernel.
         vc = worker.resource == VC
-        lane_args = (lanes,) if vc else ()
         if task.kind == TaskKind.C:
             try:
                 blk[k][k] = dense.ref_potrf(blk[k][k])
@@ -309,13 +307,13 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                     f"{exc.index}") from exc
         elif task.kind == TaskKind.T:
             trsm = kernels.trsm_asym if vc else kernels.trsm_blocked
-            trsm(blk[k][k], blk[k][j], *lane_args)
+            trsm(blk[k][k], blk[k][j])
         elif task.kind == TaskKind.S:
             syrk = kernels.syrk_asym if vc else kernels.syrk_blocked
-            syrk(blk[k][i], blk[i][i], *lane_args)
+            syrk(blk[k][i], blk[i][i])
         else:  # TaskKind.G
             gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
-            gemm(blk[k][i], blk[k][j], blk[i][j], *lane_args)
+            gemm(blk[k][i], blk[k][j], blk[i][j])
 
     events_per_worker: dict[int, list[TraceEvent]] = {w.id: [] for w in workers}
 

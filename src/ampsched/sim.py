@@ -70,7 +70,8 @@ class MachineModel:
 
 
 # Fast/slow gemm throughput ratio implied by the table: the fast cores'
-# speed in the Exynos model. kernels.LaneConfig's 4.59 is this, rounded.
+# speed in the Exynos model. The native dual-lane kernels need no ratio:
+# their lanes share slabs from one deque.
 FAST_SLOW_RATIO = TABLE3_MS[SLOW][TaskKind.G] / TABLE3_MS[FAST][TaskKind.G]
 
 

@@ -180,10 +180,10 @@ def to_json(g: TaskGraph) -> str:
 
 
 def from_json(text: str) -> TaskGraph:
+    """Parse to_json output; ValueError if malformed."""
     doc = json.loads(text)
-    tasks = []
-    for rec in doc["tasks"]:
-        tasks.append(Task(
+    try:
+        tasks = [Task(
             id=int(rec["id"]),
             kind=TaskKind(rec["kind"]),
             k=int(rec["k"]),
@@ -191,10 +191,14 @@ def from_json(text: str) -> TaskGraph:
             j=int(rec["j"]),
             reads=frozenset(tuple(blk) for blk in rec["reads"]),
             writes=frozenset(tuple(blk) for blk in rec["writes"]),
-        ))
+        ) for rec in doc["tasks"]]
+        edges = [(int(p), int(q)) for p, q in doc["edges"]]
+    except (KeyError, TypeError) as exc:  # a missing key or a wrong type
+        raise ValueError(f"malformed task graph: {exc}") from exc
+    if any(len(t.writes) != 1 for t in tasks):
+        raise ValueError("a task must write exactly one block")
     if [t.id for t in tasks] != list(range(len(tasks))):
         raise ValueError("task ids must be dense and in order")
-    edges = [(int(p), int(q)) for p, q in doc["edges"]]
     for p, q in edges:
         if not 0 <= p < q < len(tasks):
             raise ValueError(f"edge ({p}, {q}) violates sequential order")

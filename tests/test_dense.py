@@ -164,9 +164,13 @@ class TestBlockedMatrix:
         assert bm.blocks[0][2].shape == (4, 2)
 
     def test_upper_factor_zeros_lower(self):
-        bm = BlockedMatrix.from_matrix(dense.make_spd(6, 2), 2)
-        u = bm.upper_factor()
-        np.testing.assert_array_equal(u, np.triu(u))
+        # Unfactored blocks, so the lower parts are nonzero; 7 and 70 leave
+        # ragged last tiles.
+        for n, b in ((6, 2), (7, 3), (70, 32)):
+            a = dense.make_spd(n, 2)
+            u = BlockedMatrix.from_matrix(a, b).upper_factor()
+            assert u.flags.f_contiguous
+            assert u.tobytes() == np.triu(a).tobytes()
 
     def test_rejects_bad_block_size(self):
         a = dense.make_spd(4, 1)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import blas
 
 from ampsched import dense, kernels
-from ampsched.kernels import (MICRO_SLAB, LaneConfig, gemm_asym, gemm_blocked,
-                              split_loop3, syrk_asym, syrk_blocked, trsm_asym,
-                              trsm_blocked)
+from ampsched.kernels import (MICRO_SLAB, gemm_asym, gemm_blocked, syrk_asym,
+                              syrk_blocked, trsm_asym, trsm_blocked)
 from conftest import count_lane_pairs, run_with_timeout
 
 EPS = np.finfo(np.float64).eps
@@ -29,13 +29,11 @@ def rand(shape, seed):
     return np.asfortranarray(np.random.default_rng(seed).random(shape))
 
 
-SWEEP = [LaneConfig(speed_fast=sf, speed_slow=ss)
-         for sf in (0.1, 0.5, 1.0, 2.0, 4.59, 9.0)
-         for ss in (0.0, 0.5, 1.0, 2.0, 9.0, 10.0)]
-# Speed ratios whose cuts of 100 rows or columns land on 0, 32, 64, 96 and 100.
-RATIOS = [LaneConfig(speed_fast=sf, speed_slow=ss)
-          for sf, ss in ((1.0, 0.0), (1.0, 9.0), (1.0, 2.0), (1.0, 1.0),
-                         (2.0, 1.0), (4.59, 1.0))]
+# 36 operand classes: the layouts of A and B, times the range [lo, lo + 1)
+# and the scale of their entries. Slabs are views of any layout.
+OPERANDS = [(order_a, order_b, lo, scale)
+            for order_a in "CF" for order_b in "CF"
+            for lo in (0.0, -1.0, -0.5) for scale in (1e-3, 0.1, 1.0)]
 SIZES = [(1, 1, 1), (5, 3, 7), (17, 64, 33), (64, 64, 64), (2, 64, 1)]
 
 
@@ -43,12 +41,89 @@ def upper(n, seed):
     return np.asfortranarray(np.triu(rand((n, n), seed) + np.eye(n) * n))
 
 
+def on_slow_lane() -> bool:
+    return threading.current_thread().name.startswith("slow-lane")
+
+
+def record(calls: list, hook=None):
+    """Wrap a slab-range kernel loop: log (lo, hi, on slow lane), then run hook."""
+    def wrap(orig):
+        def run(*args):
+            lo, hi = args[-2:]
+            calls.append((lo, hi, on_slow_lane()))
+            if hook:
+                hook(lo, hi)
+            orig(*args)
+        return run
+    return wrap
+
+
+def slabs(lo, hi, m):
+    return [(s, min(s + MICRO_SLAB, m)) for s in range(lo, hi, MICRO_SLAB)]
+
+
+def held_run(m: int, hold_slow: bool, trsm: bool = False):
+    """gemm_asym over m rows (trsm_asym over m columns) with one lane held
+    inside its first slab until the other lane has taken every other
+    slab. Checks the result bitwise against the sequential kernel and
+    returns the (lo, hi) each lane computed, in order, as (fast, slow)."""
+    calls, nslabs = [], -(-m // MICRO_SLAB)
+    inside, release = threading.Event(), threading.Event()
+
+    def hook(lo, hi):
+        slow = on_slow_lane()
+        mine = sum(c[2] == slow for c in calls)
+        if slow == hold_slow:
+            if mine == 1:
+                inside.set()
+                release.wait(5)
+            return
+        if mine == 1:
+            inside.wait(5)  # the held lane has taken its first slab
+        if mine == nslabs - 1:
+            release.set()
+
+    if trsm:
+        u, rhs = upper(8, 65), rand((8, m), 66)
+        name, expect = "_trsm_cols", trsm_blocked(u, rhs.copy(order="F"))
+        call = partial(trsm_asym, u, rhs.copy(order="F"))
+    else:
+        a, b, c0 = rand((8, m), 51), rand((8, 8), 52), rand((m, 8), 53)
+        name, expect = "_gemm_rows", gemm_blocked(a, b, c0.copy(order="F"))
+        call = partial(gemm_asym, a, b, c0.copy(order="F"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, name, record(calls, hook)(getattr(kernels, name)))
+        np.testing.assert_array_equal(run_with_timeout(call), expect)
+    return tuple([(lo, hi) for lo, hi, slow in calls if slow == lane]
+                 for lane in (False, True))
+
+
+def meet_first(orig, m: int, on_lane=None):
+    """Wrap a slab loop over m > MICRO_SLAB rows so that each call's first
+    slab on the caller (0) and on the lane thread (the last) wait for each
+    other: every call then gives the lane thread a slab. on_lane(), if
+    given, runs before each slab on the lane thread."""
+    last = (m - 1) // MICRO_SLAB * MICRO_SLAB
+    meet = threading.Barrier(2, timeout=5)
+
+    def run(*args):
+        if args[-2] in (0, last):
+            meet.wait()
+        if on_lane and on_slow_lane():
+            on_lane()
+        orig(*args)
+    return run
+
+
 class TestGemm:
-    @pytest.mark.parametrize("p", SWEEP)
+    @pytest.mark.parametrize("p", OPERANDS)
     @pytest.mark.parametrize("m,n,k", [(5, 3, 7), (17, 9, 4)])
     def test_param_sweep_matches_oracle(self, p, m, n, k):
-        a, b, c0 = rand((k, m), 0), rand((k, n), 1), rand((m, n), 2)
-        out = gemm_asym(a, b, c0.copy(order="F"), p)
+        order_a, order_b, lo, scale = p
+        a = np.array(scale * (rand((k, m), 0) + lo), order=order_a)
+        b = np.array(scale * (rand((k, n), 1) + lo), order=order_b)
+        c0 = rand((m, n), 2)
+        out = gemm_asym(a, b, c0.copy(order="F"))
         ref = dense.ref_gemm(a, b, c0)
         assert np.abs(out - ref).max() <= gemm_tol(a, b, c0, k)
         np.testing.assert_array_equal(out, gemm_blocked(a, b, c0.copy(order="F")))
@@ -61,16 +136,15 @@ class TestGemm:
         assert np.abs(out - ref).max() <= gemm_tol(a, b, c0, k)
 
     def test_result_independent_of_mc_on_slab_grid(self):
-        # Each lane's row block (its mc) starts on the absolute 32-row grid,
-        # so every speed ratio must give bitwise identical results.
-        a, b, c0 = rand((70, 100), 6), rand((70, 21), 7), rand((100, 21), 8)
-        base = gemm_blocked(a, b, c0.copy(order="F"))
+        # Each lane's row block (its mc) is a run of slabs on the absolute
+        # 32-row grid, so holding either lane cuts 100 rows elsewhere and
+        # held_run still finds the bits of gemm_blocked.
         cuts = set()
-        for lanes in RATIOS:
-            cuts.add(split_loop3(100, lanes).fast_range[1])
-            out = gemm_asym(a, b, c0.copy(order="F"), lanes)
-            np.testing.assert_array_equal(out, base)
-        assert cuts == {0, 32, 64, 96, 100}
+        for hold_slow in (False, True):
+            fast, slow = held_run(100, hold_slow)
+            cuts.add(max(hi for _, hi in fast))
+            assert sorted(fast + slow) == slabs(0, 100, 100)
+        assert cuts == {32, 96}
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
@@ -91,22 +165,12 @@ class TestGemmAsym:
         dual = gemm_asym(a, b, c0.copy(order="F"))
         np.testing.assert_array_equal(dual, seq)
 
-    def test_speed_slow_zero_is_sequential(self):
-        cfg = LaneConfig(speed_slow=0.0)
-        a, b, c0 = rand((48, 40), 15), rand((48, 36), 16), rand((40, 36), 17)
-        seq = gemm_blocked(a, b, c0.copy(order="F"))
-        dual = gemm_asym(a, b, c0.copy(order="F"), cfg)
-        np.testing.assert_array_equal(dual, seq)
-
     def test_unequal_lane_mc_still_bitwise(self):
-        # The lanes get unequal row blocks (mc 64 and 36); the slow one
-        # ends in a ragged slab.
-        cfg = LaneConfig(speed_fast=2.0, speed_slow=1.0)
-        assert split_loop3(100, cfg).slow_range == (64, 100)
-        a, b, c0 = rand((30, 100), 18), rand((30, 19), 19), rand((100, 19), 20)
-        seq = gemm_blocked(a, b, c0.copy(order="F"))
-        dual = gemm_asym(a, b, c0.copy(order="F"), cfg)
-        np.testing.assert_array_equal(dual, seq)
+        # With the caller held, the lanes get unequal row blocks (mc 32
+        # and 68); the lane thread's starts with the ragged slab.
+        fast, slow = held_run(100, hold_slow=False)
+        assert fast == [(0, 32)]
+        assert slow == [(96, 100), (64, 96), (32, 64)]
 
 
 class TestSyrkTrsm:
@@ -131,13 +195,12 @@ class TestSyrkTrsm:
             trsm_asym(u, b0.copy(order="F")), out)
 
     def test_trsm_column_chunking_bitwise(self):
-        # Every speed ratio cuts the 100 RHS columns at another slab edge.
-        u = upper(20, 25)
-        b0 = rand((20, 100), 26)
-        base = trsm_blocked(u, b0.copy(order="F"))
-        for lanes in RATIOS:
-            out = trsm_asym(u, b0.copy(order="F"), lanes)
-            np.testing.assert_array_equal(out, base)
+        # Holding either lane cuts the 100 RHS columns at another slab
+        # edge; held_run checks the bits against trsm_blocked.
+        for hold_slow, cut in ((False, 32), (True, 96)):
+            fast, slow = held_run(100, hold_slow, trsm=True)
+            assert fast == slabs(0, cut, 100)
+            assert slow == slabs(cut, 100, 100)[::-1]
 
     def test_trsm_singular_propagates(self):
         u = np.triu(np.ones((4, 4), order="F"))
@@ -152,27 +215,23 @@ class TestSyrkTrsm:
 
 class TestLaneFailure:
     def test_trsm_slow_lane_zero_pivot_raises(self):
-        # 1:9 speeds put every column on the slow lane thread.
-        cfg = LaneConfig(speed_fast=1.0, speed_slow=9.0)
-        assert split_loop3(100, cfg).fast_range == (0, 0)
+        # The pivot check runs before any slab is handed out, so neither
+        # lane writes B.
         u = np.asfortranarray(np.triu(rand((6, 6), 27) + np.eye(6)))
         u[2, 2] = 0.0
         b0 = rand((6, 100), 28)
         b = b0.copy(order="F")
         with pytest.raises(dense.SingularTriangularError) as exc:
-            trsm_asym(u, b, cfg)
+            trsm_asym(u, b)
         assert exc.value.index == 2
         np.testing.assert_array_equal(b, b0)
 
     def test_gemm_slow_lane_failure_raises(self, monkeypatch):
-        orig = kernels._gemm_rows
+        def fail():
+            raise FloatingPointError("slow lane")
 
-        def rows(a, b, c, lo, hi):
-            if lo > 0:  # the slow lane owns the trailing rows
-                raise FloatingPointError("slow lane")
-            orig(a, b, c, lo, hi)
-
-        monkeypatch.setattr(kernels, "_gemm_rows", rows)
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            meet_first(kernels._gemm_rows, 256, fail))
         a, b, c = rand((8, 256), 29), rand((8, 8), 30), rand((256, 8), 31)
         with pytest.raises(FloatingPointError, match="slow lane"):
             gemm_asym(a, b, c)
@@ -187,22 +246,17 @@ class TestLanePair:
         def calls():
             gemm_asym(a, b, c)
             syrk_asym(a, rand((256, 256), 37))
-            trsm_asym(u, rhs, LaneConfig(1.0, 9.0))  # all on the slow lane
+            trsm_asym(u, rhs)
 
         run_with_timeout(calls)
         assert threading.active_count() == before
 
     def test_returns_only_after_the_slow_lane(self, monkeypatch):
-        orig = kernels._gemm_rows
-
-        def rows(a, b, c, lo, hi):
-            if lo > 0:  # the slow lane finishes well after the fast one
-                time.sleep(0.05)
-            orig(a, b, c, lo, hi)
-
-        monkeypatch.setattr(kernels, "_gemm_rows", rows)
         a, b, c0 = rand((8, 256), 45), rand((8, 8), 46), rand((256, 8), 47)
         expect = gemm_blocked(a, b, c0.copy(order="F"))
+        # The lane thread finishes its slabs well after the caller.
+        monkeypatch.setattr(kernels, "_gemm_rows", meet_first(
+            kernels._gemm_rows, 256, lambda: time.sleep(0.05)))
 
         def calls():
             with kernels.lane_pair():
@@ -214,17 +268,16 @@ class TestLanePair:
 
     def test_one_lane_thread_serves_every_call(self, monkeypatch):
         before = threading.active_count()
-        orig = kernels._gemm_rows
         fail = [True]
 
-        def rows(a, b, c, lo, hi):
-            if lo > 0 and fail[0]:
+        def lane():
+            if fail[0]:
                 raise FloatingPointError("slow lane")
-            orig(a, b, c, lo, hi)
 
-        monkeypatch.setattr(kernels, "_gemm_rows", rows)
         a, b, c0 = rand((8, 256), 38), rand((8, 8), 39), rand((256, 8), 40)
         expect = gemm_blocked(a, b, c0.copy(order="F"))
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            meet_first(kernels._gemm_rows, 256, lane))
 
         def calls():
             outside = threading.active_count()
@@ -243,76 +296,27 @@ class TestLanePair:
         assert threading.active_count() == before
 
 
-def on_slow_lane() -> bool:
-    return threading.current_thread().name.startswith("slow-lane")
-
-
-def record(calls: list, hook=None):
-    """Wrap a slab-range kernel loop: log (lo, hi, on slow lane), then run hook."""
-    def wrap(orig):
-        def run(*args):
-            lo, hi = args[-2:]
-            calls.append((lo, hi, on_slow_lane()))
-            if hook:
-                hook(lo, hi)
-            orig(*args)
-        return run
-    return wrap
-
-
-def slabs(lo, hi, m):
-    return [(s, min(s + MICRO_SLAB, m)) for s in range(lo, hi, MICRO_SLAB)]
-
-
 class TestSlabStealing:
-    """The speed ratio sets the starting split; an idle lane steals slabs."""
+    """The caller pops slabs from the front of one deque, the lane thread
+    from the back."""
 
-    EVEN = LaneConfig(1.0, 1.0)  # 256 rows: slabs 0-96 fast, 128-224 slow
     M = 8 * MICRO_SLAB
 
-    def held_run(self, monkeypatch, hold_slow: bool):
-        """gemm_asym at 1:1 with one lane held inside its first slab until
-        the other lane has taken all seven other slabs. Returns the
-        (lo, hi) each lane computed, in order, as (fast, slow)."""
-        calls = []
-        inside, release = threading.Event(), threading.Event()
+    def test_fast_lane_takes_held_slow_lanes_far_slabs(self):
+        fast, slow = held_run(self.M, hold_slow=True)
+        assert slow == [(224, 256)]
+        assert fast == slabs(0, 224, self.M)
 
-        def hook(lo, hi):
-            mine = [c for c in calls if c[2] == on_slow_lane()]
-            if len(mine) == 1 and on_slow_lane() == hold_slow:
-                inside.set()
-                release.wait(5)
-            elif len(mine) == 1:
-                inside.wait(5)  # the held lane has taken its first slab
-            elif len(mine) == 7:
-                release.set()
-
-        a, b, c0 = rand((8, self.M), 51), rand((8, 8), 52), rand((self.M, 8), 53)
-        expect = gemm_blocked(a, b, c0.copy(order="F"))
-        monkeypatch.setattr(kernels, "_gemm_rows",
-                            record(calls, hook)(kernels._gemm_rows))
-        out = run_with_timeout(
-            lambda: gemm_asym(a, b, c0.copy(order="F"), self.EVEN))
-        np.testing.assert_array_equal(out, expect)
-        return tuple([(lo, hi) for lo, hi, slow in calls if slow == lane]
-                     for lane in (False, True))
-
-    def test_fast_lane_takes_held_slow_lanes_far_slabs(self, monkeypatch):
-        fast, slow = self.held_run(monkeypatch, hold_slow=True)
-        assert slow == [(128, 160)]
-        assert fast == slabs(0, 128, self.M) + slabs(160, 256, self.M)[::-1]
-
-    def test_slow_lane_takes_held_fast_lanes_far_slabs(self, monkeypatch):
-        fast, slow = self.held_run(monkeypatch, hold_slow=False)
+    def test_slow_lane_takes_held_fast_lanes_far_slabs(self):
+        fast, slow = held_run(self.M, hold_slow=False)
         assert fast == [(0, 32)]
-        assert slow == slabs(128, 256, self.M) + slabs(32, 128, self.M)[::-1]
+        assert slow == slabs(32, 256, self.M)[::-1]
 
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 200), k=st.integers(1, 40),
-           lanes=st.sampled_from(RATIOS),
            delays=st.lists(st.sampled_from([0.0, 1e-4, 1e-3]),
                            min_size=1, max_size=7))
-    def test_every_slab_once_and_bitwise(self, m, k, lanes, delays):
+    def test_every_slab_once_and_bitwise(self, m, k, delays):
         a, b, c0 = rand((k, m), m), rand((k, 7), 3), rand((m, 7), k)
         cs0, u, rhs0 = rand((m, m), k + 1), upper(k, m), rand((k, m), k + 2)
         expect = (gemm_blocked(a, b, c0.copy(order="F")),
@@ -325,13 +329,13 @@ class TestSlabStealing:
             mp.setattr(kernels, "_gemm_rows", wrap(kernels._gemm_rows))
             mp.setattr(kernels, "_trsm_cols", wrap(kernels._trsm_cols))
             for run, want in zip((
-                    lambda: gemm_asym(a, b, c0.copy(order="F"), lanes),
-                    lambda: syrk_asym(a, cs0.copy(order="F"), lanes),
-                    lambda: trsm_asym(u, rhs0.copy(order="F"), lanes)), expect):
+                    lambda: gemm_asym(a, b, c0.copy(order="F")),
+                    lambda: syrk_asym(a, cs0.copy(order="F")),
+                    lambda: trsm_asym(u, rhs0.copy(order="F"))), expect):
                 del calls[:]
                 np.testing.assert_array_equal(run(), want)
                 done = sorted((lo, hi) for lo, hi, _ in calls)
-                if split_loop3(m, lanes).slow_range[0] == m:
+                if m <= MICRO_SLAB:
                     assert done == [(0, m)]  # the caller alone, in one call
                 else:
                     assert done == slabs(0, m, m)
@@ -346,9 +350,9 @@ class TestSlabStealing:
 
         def caller():
             with kernels.lane_pair():
-                for lanes in RATIOS * 5:
+                for _ in range(30):
                     np.testing.assert_array_equal(
-                        gemm_asym(a, b, c0.copy(order="F"), lanes), expect)
+                        gemm_asym(a, b, c0.copy(order="F")), expect)
 
         def callers():
             with ThreadPoolExecutor(4) as pool:
@@ -379,27 +383,23 @@ class TestSlabStealing:
         m = 16 * MICRO_SLAB
         a, b, c = rand((8, m), 54), rand((8, 8), 55), rand((m, 8), 56)
         with pytest.raises(FloatingPointError, match="first slab"):
-            run_with_timeout(lambda: gemm_asym(a, b, c, self.EVEN))
+            run_with_timeout(lambda: gemm_asym(a, b, c))
         assert len(calls) < m // MICRO_SLAB
         assert all(hi - lo == MICRO_SLAB and lo % MICRO_SLAB == 0
                    for lo, hi, _ in calls)
 
-    @pytest.mark.parametrize("m,lanes,handoffs", [
-        (256, LaneConfig(speed_slow=0.0), 0),
-        (32, kernels.DEFAULT_LANES, 0),
-        (4, kernels.DEFAULT_LANES, 0),
-        (128, EVEN, 1),
-    ])
-    def test_handoff_only_when_the_slow_lane_starts_with_slabs(
-            self, monkeypatch, m, lanes, handoffs):
+    @pytest.mark.parametrize("m,handoffs", [
+        (4, 0), (32, 0), (33, 1), (50, 1), (64, 1), (128, 1)])
+    def test_handoff_only_with_two_or_more_slabs(self, monkeypatch, m,
+                                                 handoffs):
         made, handed = count_lane_pairs(monkeypatch)
         calls = []
         monkeypatch.setattr(kernels, "_gemm_rows",
                             record(calls)(kernels._gemm_rows))
         monkeypatch.setattr(kernels, "_trsm_cols",
                             record(calls)(kernels._trsm_cols))
-        gemm_asym(rand((5, m), 57), rand((5, 3), 58), rand((m, 3), 59), lanes)
-        trsm_asym(upper(5, 60), rand((5, m), 61), lanes)
+        gemm_asym(rand((5, m), 57), rand((5, 3), 58), rand((m, 3), 59))
+        trsm_asym(upper(5, 60), rand((5, m), 61))
         assert len(made) == len(handed) == 2 * handoffs
         # gemm's row slabs, then trsm's column slabs, each computed once
         per_call = slabs(0, m, m) if handoffs else [(0, m)]
@@ -422,9 +422,7 @@ class TestTrsmPlumbing:
             e = min(s + MICRO_SLAB, m)
             ref[:, s:e] = blas.dtrsm(1.0, u, ref[:, s:e], trans_a=1)
         np.testing.assert_array_equal(trsm_blocked(u, b0.copy(order="F")), ref)
-        for lanes in RATIOS:
-            np.testing.assert_array_equal(
-                trsm_asym(u, b0.copy(order="F"), lanes), ref)
+        np.testing.assert_array_equal(trsm_asym(u, b0.copy(order="F")), ref)
 
     @pytest.mark.parametrize("make_b", [
         np.ascontiguousarray,
@@ -440,93 +438,31 @@ class TestTrsmPlumbing:
         np.testing.assert_array_equal(b, before)
 
 
-class TestSplitLoop3:
-    def test_proportional_split(self):
-        s = split_loop3(128, LaneConfig(speed_fast=3.0, speed_slow=1.0))
-        assert s.fast_range == (0, 96)
-        assert s.slow_range == (96, 128)
-
-    def test_asymmetric_share_rounds_up(self):
-        cfg = LaneConfig(speed_fast=4.56, speed_slow=1.0)
-        s = split_loop3(312, cfg)  # 312 * 4.56 / 5.56 = 255.88 -> 256
-        assert s.fast_range == (0, 256)
-        assert s.slow_range == (256, 312)
-
-    def test_slow_sliver_folds_into_fast(self):
-        cfg = LaneConfig(speed_fast=9.0, speed_slow=1.0)
-        s = split_loop3(50, cfg)  # share 45 is nearer 50 than 32
-        assert s.fast_range == (0, 50)
-        assert s.slow_range[0] == s.slow_range[1]
-
-    def test_fast_sliver_folds_into_slow(self):
-        cfg = LaneConfig(speed_fast=1.0, speed_slow=9.0)
-        s = split_loop3(100, cfg)  # share 10 is nearer 0 than 32
-        assert s.fast_range == (0, 0)
-        assert s.slow_range == (0, 100)
-
-    def test_larger_share_is_never_folded(self):
-        s = split_loop3(90)  # share 73.9: the grid point 64 is nearest
-        assert s.fast_range == (0, 64)
-        assert s.slow_range == (64, 90)
-        assert split_loop3(4).fast_range == (0, 4)  # share 3.3
-        assert split_loop3(4, LaneConfig(1.0, 9.0)).slow_range == (0, 4)
-
-    def test_speed_slow_zero(self):
-        s = split_loop3(10, LaneConfig(speed_slow=0.0))
-        assert s.fast_range == (0, 10)
-
-    @settings(max_examples=100, deadline=None)
-    @given(m=st.integers(0, 500), sf=st.floats(0.1, 10), ss=st.floats(0, 10))
-    def test_partition_property(self, m, sf, ss):
-        s = split_loop3(m, LaneConfig(speed_fast=sf, speed_slow=ss))
-        (f0, f1), (s0, s1) = s.fast_range, s.slow_range
-        assert f0 == 0 and f1 == s0 and s1 == m
-        assert f0 <= f1 <= s0 <= s1
-        # the cut is the grid point (or m) nearest the proportional share
-        share = m * sf / (sf + ss)
-        grid = set(range(0, m, MICRO_SLAB)) | {m}
-        assert f1 in grid
-        assert all(abs(f1 - share) <= abs(g - share) + 1e-9 for g in grid)
-
-
 class TestSlabGrid:
     SIZE = st.one_of(st.sampled_from([1, 31, 32, 33, 90, 257, 300]),
                      st.integers(1, 300))
 
     @settings(max_examples=60, deadline=None)
-    @given(m=SIZE, n=SIZE, k=SIZE, sf=st.floats(0.1, 10),
-           ss=st.one_of(st.just(0.0), st.floats(0, 10)))
-    def test_asym_bitwise_and_cut_on_grid(self, m, n, k, sf, ss):
-        lanes = LaneConfig(speed_fast=sf, speed_slow=ss)
+    @given(m=SIZE, n=SIZE, k=SIZE)
+    def test_asym_bitwise_and_cut_on_grid(self, m, n, k):
         a, b, c0 = rand((k, m), m), rand((k, n), n), rand((m, n), k)
+        csym, u, rhs = rand((m, m), n), upper(k, m), rand((k, m), n)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_gemm_rows", "_trsm_cols"):
+                mp.setattr(kernels, name, record(calls)(getattr(kernels, name)))
+            dual = (gemm_asym(a, b, c0.copy(order="F")),
+                    syrk_asym(a, csym.copy(order="F")),
+                    trsm_asym(u, rhs.copy(order="F")))
         np.testing.assert_array_equal(
-            gemm_asym(a, b, c0.copy(order="F"), lanes),
-            gemm_blocked(a, b, c0.copy(order="F")))
-        csym = rand((m, m), n)
+            dual[0], gemm_blocked(a, b, c0.copy(order="F")))
         np.testing.assert_array_equal(
-            syrk_asym(a, csym.copy(order="F"), lanes),
-            syrk_blocked(a, csym.copy(order="F")))
-        u, rhs = upper(k, m), rand((k, m), n)
+            dual[1], syrk_blocked(a, csym.copy(order="F")))
         np.testing.assert_array_equal(
-            trsm_asym(u, rhs.copy(order="F"), lanes),
-            trsm_blocked(u, rhs.copy(order="F")))
-
-        split = split_loop3(m, lanes)
-        cut = split.fast_range[1]
-        assert cut % MICRO_SLAB == 0 or cut == m
-        # the lane with the larger share keeps rows
-        if sf > ss:
-            assert cut > 0
-        elif sf < ss:
-            assert cut < m
-
-
-class TestValidation:
-    def test_lane_speeds(self):
-        with pytest.raises(ValueError):
-            LaneConfig(speed_fast=0.0)
-        with pytest.raises(ValueError):
-            LaneConfig(speed_slow=-1.0)
+            dual[2], trsm_blocked(u, rhs.copy(order="F")))
+        # every call is one slab of the absolute grid, or all of [0, m)
+        grid = slabs(0, m, m) if m > MICRO_SLAB else [(0, m)]
+        assert sorted((lo, hi) for lo, hi, _ in calls) == sorted(grid * 3)
 
 
 class TestCrossoverProbe:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from ampsched import dense, kernels, runtime
 from ampsched.dense import BlockedMatrix, NotPositiveDefiniteError
-from ampsched.kernels import DEFAULT_LANES, LaneConfig
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
                               Policy, ReadyPool, SchedulerCore, Trace,
                               TraceEvent, WorkerDescriptor, gflops,
@@ -107,13 +106,10 @@ class TestFactorization:
         g = build_cholesky_dag(-(-n // b))
         _, _, bm, _ = factor(n, b, Policy(OBLIVIOUS), 1, seed=3)
         baseline = bm.upper_factor().tobytes()
-        for lanes in (LaneConfig(speed_slow=0.0), LaneConfig(1.0, 9.0),
-                      LaneConfig(2.0, 1.0), DEFAULT_LANES):
-            for nworkers in (1, 2):
-                bm, _ = run(g, BlockedMatrix.from_matrix(a, b),
-                            Policy(VC_POLICY),
-                            make_workers(VC_POLICY, nworkers), lanes)
-                assert bm.upper_factor().tobytes() == baseline, (lanes, nworkers)
+        for nworkers in (1, 2):
+            bm, _ = run(g, BlockedMatrix.from_matrix(a, b), Policy(VC_POLICY),
+                        make_workers(VC_POLICY, nworkers))
+            assert bm.upper_factor().tobytes() == baseline, nworkers
         for policy in POLICIES:
             _, _, bm, _ = factor(n, b, policy, 8, seed=3)
             assert bm.upper_factor().tobytes() == baseline
@@ -396,7 +392,7 @@ class TestFailLoudWorkers:
 
 
 class TestLanePairLifecycle:
-    # b=128 tiles: split_loop3 gives the slow lane rows or columns 96..128.
+    # b=128 tiles: four slabs per kernel call, shared with the lane thread.
 
     @pytest.mark.parametrize("nworkers", [1, 4])
     def test_one_pair_per_vc_worker_and_none_left(self, monkeypatch, nworkers):
@@ -412,8 +408,8 @@ class TestLanePairLifecycle:
         assert len(handoffs) > nworkers  # pairs are reused across tasks
 
     def test_stress_short_switch_interval(self):
-        # Six pairs (12 threads) with frequent switches; equal lane speeds
-        # cut every 64-wide tile at 32, so every call hands work to a lane.
+        # Six pairs (12 threads) with frequent switches; every 64-wide tile
+        # is two slabs, so every call hands work to a lane.
         # A lost handoff would hang; a lane running late would change bits.
         a = dense.make_spd(256, seed=7)
         g = build_cholesky_dag(4)
@@ -424,7 +420,7 @@ class TestLanePairLifecycle:
         try:
             bm, trace = run_with_timeout(lambda: run(
                 g, BlockedMatrix.from_matrix(a, 64), Policy(VC_POLICY),
-                make_workers(VC_POLICY, 6), LaneConfig(1.0, 1.0)))
+                make_workers(VC_POLICY, 6)))
         finally:
             sys.setswitchinterval(old)
         check_trace_legality(g, trace)
@@ -509,11 +505,3 @@ class TestGflops:
         with pytest.raises(ValueError):
             gflops(100, 0.0)
 
-
-def test_custom_lane_config_still_correct():
-    a = dense.make_spd(36, 5)
-    g = build_cholesky_dag(3)
-    bm = BlockedMatrix.from_matrix(a, 12)
-    lanes = LaneConfig(speed_fast=2.0, speed_slow=1.0)
-    bm, _ = run(g, bm, Policy(VC_POLICY), make_workers(VC_POLICY, 2), lanes)
-    assert dense.residual(a, bm.upper_factor()) < 1e-13

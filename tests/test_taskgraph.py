@@ -164,6 +164,17 @@ class TestExport:
         doc["tasks"][0]["id"] = 7
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
+        # missing keys, wrong types, and a task writing two blocks or none
+        no_kind = json.loads(to_json(g))
+        del no_kind["tasks"][1]["kind"]
+        two_writes = json.loads(to_json(g))
+        two_writes["tasks"][0]["writes"].append([1, 1])
+        no_writes = json.loads(to_json(g))
+        no_writes["tasks"][0]["writes"] = []
+        for bad in ({}, [], {"tasks": []}, {"tasks": 3, "edges": []},
+                    no_kind, two_writes, no_writes):
+            with pytest.raises(ValueError):
+                from_json(json.dumps(bad))
 
     def test_target_property(self):
         g = build_cholesky_dag(4)
