@@ -1,15 +1,16 @@
 """Dual-lane GEMM: split one kernel call across a fast and a slow lane.
 
-The 32-row slabs of C := C - A^T B are shared between two threads from
+The 128-row slabs of C := C - A^T B are shared between two threads from
 one deque: the calling thread takes slabs from the front, the lane
-thread from the back, until none is left. Each slab
-is one BLAS call on the same operands whichever lane runs it, so the
-dual-lane result is bitwise identical to the single-lane one -- the
-sharing changes who computes each slab, never how.
+thread from the back, until none is left. Each slab is one BLAS call on
+the same operands whichever lane runs it, so the dual-lane result is
+bitwise identical to the single-lane one -- the sharing changes who
+computes each slab, never how.
 
-Also runs the crossover probe, with one lane pair held across all sizes as
-on a VC worker: below some matrix size, handing slabs to the slow lane
-and waiting for it costs more than the lane contributes.
+Also runs the crossover probe on both sides of the slab width (a 128-row
+call is one slab, which the caller runs alone), with one lane pair held
+across all sizes as on a VC worker: below some matrix size, handing slabs
+to the slow lane and waiting for it costs more than the lane contributes.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ def main() -> None:
     print("\ncrossover probe (wall-clock, this host):")
     header = "  ".join(f"{f:>14}" for f in CROSSOVER_FIELDS)
     print(header)
-    for row in kernel_crossover_probe([64, 128, 256, 512]):
+    for row in kernel_crossover_probe([128, 256, 512, 1024]):
         print("  ".join(f"{row[f]:>14.6g}" if isinstance(row[f], float)
                         else f"{row[f]:>14}" for f in CROSSOVER_FIELDS))
 

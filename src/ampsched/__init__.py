@@ -8,8 +8,7 @@ asymmetric big.LITTLE machine.
 """
 
 from .dense import (BlockedMatrix, NotPositiveDefiniteError,
-                    SingularTriangularError, make_spd, ref_gemm, ref_potrf,
-                    ref_syrk, ref_trsm, residual)
+                    SingularTriangularError, make_spd, ref_potrf, residual)
 from .kernels import (gemm_asym, gemm_blocked, kernel_crossover_probe,
                       syrk_asym, syrk_blocked, trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,

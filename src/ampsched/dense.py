@@ -1,10 +1,8 @@
-"""Dense matrix storage, blocked partitioning and reference kernels.
+"""Dense matrix storage, blocked partitioning and the diagonal-block factor.
 
 Matrices are plain float64 numpy arrays in column-major (Fortran) order.
-``ref_gemm``, ``ref_syrk`` and ``ref_trsm`` are deliberately simple
-per-element routines: independent oracles for the slab-blocked kernels in
-:mod:`ampsched.kernels`. ``ref_potrf``, the runtime's diagonal-block (C task)
-factorization, is one LAPACK ``dpotrf`` call.
+``ref_potrf``, the runtime's diagonal-block (C task) factorization, is one
+LAPACK ``dpotrf`` call.
 """
 
 from __future__ import annotations
@@ -76,54 +74,6 @@ def ref_potrf(a: np.ndarray) -> np.ndarray:
     if bad.size or info > 0:
         raise NotPositiveDefiniteError(int(bad[0]) if bad.size else done)
     return u
-
-
-def ref_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Naive matrix multiply-update, C := C - A^T B, per-element dot products.
-
-    A is k-by-m, B is k-by-n, C is m-by-n. Returns a new array.
-    """
-    a, b, c = _as_matrix(a), _as_matrix(b), _as_matrix(c)
-    k, m = a.shape
-    k2, n = b.shape
-    if k2 != k or c.shape != (m, n):
-        raise ValueError(f"nonconformal gemm operands {a.shape} {b.shape} {c.shape}")
-    out = np.array(c, order="F")
-    for i in range(m):
-        col = a[:, i]
-        for j in range(n):
-            out[i, j] -= np.dot(col, b[:, j])
-    return out
-
-
-def ref_syrk(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Naive symmetric rank-k update, C := C - A^T A on the full block.
-
-    The update is applied to the whole (symmetric) block; only the upper
-    triangle is ever consumed by the factorization. It is ref_gemm with
-    B = A, as the slab-blocked syrk is the blocked gemm with B = A.
-    """
-    return ref_gemm(a, a, c)
-
-
-def ref_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve U^T X = B by forward substitution, U upper triangular.
-
-    This is the panel update of the blocked factorization. Returns X.
-    """
-    u, b = _as_matrix(u), _as_matrix(b)
-    n = u.shape[0]
-    if u.shape[1] != n or b.shape[0] != n:
-        raise ValueError(f"nonconformal trsm operands {u.shape} {b.shape}")
-    x = np.array(b, order="F")
-    for i in range(n):
-        if u[i, i] == 0.0:
-            raise SingularTriangularError(i)
-        if i > 0:
-            x[i, :] = (b[i, :] - u[:i, i] @ x[:i, :]) / u[i, i]
-        else:
-            x[i, :] = b[i, :] / u[i, i]
-    return x
 
 
 def residual(a: np.ndarray, u: np.ndarray) -> float:

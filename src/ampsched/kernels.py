@@ -1,11 +1,17 @@
 """BLAS-3 kernels on an absolute slab grid, with a dual-lane asymmetric variant.
 
 Every kernel is a loop of BLAS calls, one per MICRO_SLAB-wide slab of
-the output: gemm and syrk update C one 32-row slab at a time with one
-``np.dot`` each, and trsm solves B in place one 32-column slab at a time
-with one ``dtrsm`` each. Slabs are cut on the absolute grid of the output
-block (rows or columns 0, 32, 64, ...), and each slab is always computed
-by the same call on operands of the same shape and layout.
+the output: gemm updates C one 128-row slab at a time with one ``np.dot``
+each, syrk does the same on the upper triangle only, and trsm solves B in
+place one 128-column slab at a time with one ``dtrsm`` each. Slabs are
+cut on the absolute grid of the output block (rows or columns 0, 128,
+256, ...), and each slab is always computed by the same call on operands
+of the same shape and layout.
+
+syrk follows LAPACK ``dsyrk``'s ``uplo='U'`` contract: row slab [s, e)
+of C is updated on columns s onward, so every upper-triangle entry is
+updated and no entry left of its row's slab start is touched. The
+factorization reads only the upper triangle.
 
 Both BLAS calls release the GIL while they run: ``np.dot`` does so
 itself, and ``dtrsm`` is scipy's own BLAS routine called through ctypes
@@ -18,11 +24,11 @@ thread and a persistent slow-lane thread (LanePair, a one-thread
 executor) through one deque of slab starts: the caller takes slabs from
 the front and the lane thread from the back, one at a time, so the pair
 balances itself without a speed ratio, as a dynamic scheduler does. A
-call with a single slab runs on the caller alone. Which lane computes a
-slab never changes how it is computed, so the asymmetric kernels are
-bitwise identical to the sequential ones and the factorization is
-bitwise independent of the schedule. Nothing relies on a BLAS call
-giving the same bits when it is cut at a different place.
+call with a single slab (at most 128 rows or columns) runs on the caller
+alone. Which lane computes a slab never changes how it is computed, so
+the asymmetric kernels are bitwise identical to the sequential ones and
+the factorization is bitwise independent of the schedule. Nothing relies
+on a BLAS call giving the same bits when it is cut at a different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
 
@@ -49,7 +55,7 @@ from .dense import SingularTriangularError
 
 # Row (gemm/syrk) or column (trsm) extent of one BLAS call. The lanes
 # share out slabs on this grid; see the module docstring.
-MICRO_SLAB = 32
+MICRO_SLAB = 128
 
 
 def _capsule_pointer(capsule) -> int:
@@ -141,18 +147,25 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         c[s:e] -= np.dot(b.T, a[:, s:e]).T
 
 
-def _trsm_cols(u: np.ndarray, b: np.ndarray, lo: int, hi: int) -> None:
+def _syrk_rows(a: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
+    # C[lo:hi] -= A[:, lo:hi]^T A as _gemm_rows, but each slab [s, e) only
+    # on columns s onward: the upper triangle, as dsyrk's uplo='U'.
+    for s in range(lo, hi, MICRO_SLAB):
+        e = min(s + MICRO_SLAB, hi)
+        c[s:e, s:] -= np.dot(a[:, s:].T, a[:, s:e]).T
+
+
+def _trsm_cols(op: tuple, lo: int, hi: int) -> None:
     # Solve U^T X = B on columns [lo, hi) in place, one dtrsm('L', 'U',
-    # 'T', 'N') per slab. U and B are Fortran-contiguous float64 (see
-    # _check_trsm), so slab s starts ld * s doubles into B.
-    n = b.shape[0]
-    rows, ld, width = ctypes.c_int(n), ctypes.c_int(max(n, 1)), ctypes.c_int()
-    rows_p, ld_p, width_p = map(ctypes.addressof, (rows, ld, width))
-    u_p, b_p = u.ctypes.data, b.ctypes.data
+    # 'T', 'N') per slab. op is _check_trsm's per-call plumbing; width is
+    # made here, so the two lanes of a dual-lane call never share it.
+    _, rows_p, ld_p, u_p, b_p, stride = op
+    width = ctypes.c_int()
+    width_p = ctypes.addressof(width)
     for s in range(lo, hi, MICRO_SLAB):
         width.value = min(s + MICRO_SLAB, hi) - s
         _dtrsm(b"L", b"U", b"T", b"N", rows_p, width_p, _ONE_P,
-               u_p, ld_p, b_p + 8 * ld.value * s, ld_p)
+               u_p, ld_p, b_p + stride * s, ld_p)
 
 
 class LanePair(ThreadPoolExecutor):
@@ -255,20 +268,32 @@ def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def syrk_blocked(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Slab-blocked C := C - A^T A on the full symmetric block."""
-    return gemm_blocked(a, a, c)
+    """Slab-blocked C := C - A^T A on the upper triangle. Updates and returns C.
+
+    Row slab [s, e) is updated on columns s onward; entries left of a
+    row's slab start are not touched (LAPACK dsyrk, uplo='U').
+    """
+    _syrk_rows(a, c, 0, _check_gemm_shapes(a, a, c))
+    return c
 
 
 def syrk_asym(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Dual-lane symmetric update; row slabs shared out as in gemm_asym."""
-    return gemm_asym(a, a, c)
+    """Dual-lane symmetric update; row slabs shared out as in gemm_asym.
+
+    Bitwise identical to syrk_blocked, with the same upper-only contract.
+    """
+    m = _check_gemm_shapes(a, a, c)
+    _run_lanes(m, partial(_syrk_rows, a, c))
+    return c
 
 
-def _check_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Validate trsm operands; returns U as a Fortran-contiguous float64 array.
+def _check_trsm(u: np.ndarray, b: np.ndarray) -> tuple:
+    """Validate trsm operands; returns the _trsm_cols plumbing for one call.
 
     B is solved in place by BLAS, so it must already be a writable
-    Fortran-contiguous float64 array.
+    Fortran-contiguous float64 array. The plumbing holds U as a
+    Fortran-contiguous float64 array, the dtrsm row count and leading
+    dimension, and the addresses of all three and of B.
     """
     n = u.shape[0]
     if u.shape[1] != n or b.shape[0] != n:
@@ -277,10 +302,14 @@ def _check_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
             or not b.flags.writeable):
         raise ValueError("trsm solves B in place: B must be a writable "
                          "Fortran-contiguous float64 array")
-    zeros = np.flatnonzero(np.diagonal(u) == 0.0)
-    if zeros.size:
-        raise SingularTriangularError(int(zeros[0]))
-    return np.asfortranarray(u, dtype=np.float64)
+    diag = np.diagonal(u)
+    if not diag.all():
+        raise SingularTriangularError(int(np.flatnonzero(diag == 0.0)[0]))
+    u = np.asfortranarray(u, dtype=np.float64)
+    dims = (ctypes.c_int * 2)(n, max(n, 1))  # rows, leading dimension
+    rows_p = ctypes.addressof(dims)
+    return ((dims, u), rows_p, rows_p + ctypes.sizeof(ctypes.c_int),
+            u.ctypes.data, b.ctypes.data, 8 * dims[1])
 
 
 def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -290,8 +319,7 @@ def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     layout. A zero on U's diagonal raises SingularTriangularError before
     B is written.
     """
-    u = _check_trsm(u, b)
-    _trsm_cols(u, b, 0, b.shape[1])
+    _trsm_cols(_check_trsm(u, b), 0, b.shape[1])
     return b
 
 
@@ -300,8 +328,7 @@ def trsm_asym(u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Bitwise identical to trsm_blocked, with the same operand rules.
     """
-    u = _check_trsm(u, b)
-    _run_lanes(b.shape[1], partial(_trsm_cols, u, b))
+    _run_lanes(b.shape[1], partial(_trsm_cols, _check_trsm(u, b)))
     return b
 
 
@@ -309,33 +336,36 @@ CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
                     "seq_gflops", "asym_gflops"]
 
 
+def _gemm_seconds(gemm, a: np.ndarray, b: np.ndarray, c0: np.ndarray) -> float:
+    c = np.array(c0, order="F")
+    t0 = time.perf_counter()
+    gemm(a, b, c)
+    return time.perf_counter() - t0
+
+
 def kernel_crossover_probe(sizes: list[int]) -> list[dict]:
-    """Time sequential vs dual-lane gemm at square sizes.
+    """Time sequential vs dual-lane gemm at square sizes, min of five calls.
 
     A size of at most MICRO_SLAB is one slab, which the dual-lane call
-    runs on the caller alone. The dual-lane calls share one lane pair held across all sizes, as on
-    a VC worker, so asym_seconds includes the lane handoff but no thread
-    start. Host-dependent wall-clock measurements: where the dual-lane
-    call starts to win is a property of the host it runs on, which no
-    model in the package predicts. One row of CROSSOVER_FIELDS per size.
+    runs on the caller alone. The dual-lane calls share one lane pair held
+    across all sizes, as on a VC worker, so asym_seconds includes the lane
+    handoff but no thread start. BLAS is held at one thread, as in a run,
+    and the two kernels alternate. The times are wall-clock on the host
+    that runs the probe: no model in the package predicts where the
+    dual-lane call starts to win. One row of CROSSOVER_FIELDS per size.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
     rng = np.random.default_rng(0)
     rows = []
-    with lane_pair():
+    with single_blas_thread(), lane_pair():
         for sz in sizes:
-            a = np.asfortranarray(rng.random((sz, sz)))
-            b = np.asfortranarray(rng.random((sz, sz)))
-            c0 = np.asfortranarray(rng.random((sz, sz)))
-            c = np.array(c0, order="F")
-            t0 = time.perf_counter()
-            gemm_blocked(a, b, c)
-            seq = time.perf_counter() - t0
-            c = np.array(c0, order="F")
-            t0 = time.perf_counter()
-            gemm_asym(a, b, c)
-            asym = time.perf_counter() - t0
+            a, b, c0 = (np.asfortranarray(rng.random((sz, sz)))
+                        for _ in range(3))
+            seq = asym = float("inf")
+            for _ in range(5):
+                seq = min(seq, _gemm_seconds(gemm_blocked, a, b, c0))
+                asym = min(asym, _gemm_seconds(gemm_asym, a, b, c0))
             flops = 2.0 * sz ** 3
             rows.append(dict(zip(CROSSOVER_FIELDS, (
                 sz, flops, seq, asym, flops / seq / 1e9, flops / asym / 1e9))))

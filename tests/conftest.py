@@ -1,4 +1,4 @@
-"""Shared test helpers: random DAGs, lane-pair counting, timeouts and acceptance reporting."""
+"""Shared test helpers: random DAGs, lane pairs, timeouts and acceptance reporting."""
 
 import re
 import threading
@@ -76,6 +76,27 @@ def count_lane_pairs(monkeypatch):
 
     monkeypatch.setattr(kernels, "LanePair", Counted)
     return made, handoffs
+
+
+def on_slow_lane() -> bool:
+    return threading.current_thread().name.startswith("slow-lane")
+
+
+def meet_first(orig, m: int, on_lane=None):
+    """Wrap a slab loop over m > MICRO_SLAB rows so that each call's first
+    slab on the caller (0) and on the lane thread (the last) wait for each
+    other: every call then gives the lane thread a slab. on_lane(), if
+    given, runs before each slab on the lane thread."""
+    last = (m - 1) // kernels.MICRO_SLAB * kernels.MICRO_SLAB
+    meet = threading.Barrier(2, timeout=5)
+
+    def run(*args):
+        if args[-2] in (0, last):
+            meet.wait()
+        if on_lane and on_slow_lane():
+            on_lane()
+        orig(*args)
+    return run
 
 
 def run_with_timeout(fn, timeout: float = 20.0):

@@ -24,6 +24,7 @@ from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel,
                           simulate)
 from ampsched.taskgraph import TaskKind, build_cholesky_dag, task_counts
 from conftest import check_trace_legality, random_task_graph
+from oracles import ref_gemm, ref_syrk, ref_trsm, syrk_untouched
 
 EPS = np.finfo(np.float64).eps
 
@@ -108,17 +109,20 @@ def test_criterion_3_schedule_legality_fuzz():
 def test_criterion_4_kernel_equivalence():
     """Blocked and dual-lane kernels match naive oracles within
     8*eps*k*max|entry|, the dual-lane gemm bitwise equal to the
-    sequential one; shapes below, on and across one 32-row slab keep
-    that bitwise equality."""
+    sequential one; shapes below, on and across one 128-row slab keep
+    that bitwise equality. syrk matches its oracle from each row's slab
+    start rightwards and leaves the entries left of it bitwise as they
+    were."""
     rng = np.random.default_rng(7)
 
     def fa(shape):
         return np.asfortranarray(rng.random(shape))
 
-    shapes = [(1, 1, 1), (5, 3, 7), (33, 17, 64), (64, 64, 64)]
+    shapes = [(1, 1, 1), (5, 3, 7), (33, 17, 64), (64, 64, 64),
+              (127, 9, 20), (128, 17, 33), (129, 5, 40), (300, 12, 25)]
     for m, n, k in shapes:
         a, b, c0 = fa((k, m)), fa((k, n)), fa((m, n))
-        ref = dense.ref_gemm(a, b, c0)
+        ref = ref_gemm(a, b, c0)
         bound = 8 * EPS * max(k, 1) * max(np.abs(a).max(), np.abs(b).max(),
                                           np.abs(c0).max(), 1.0)
         seq = gemm_blocked(a, b, c0.copy(order="F"))
@@ -126,19 +130,19 @@ def test_criterion_4_kernel_equivalence():
         dual = gemm_asym(a, b, c0.copy(order="F"))
         assert np.abs(dual - ref).max() <= bound, (m, n, k)
         np.testing.assert_array_equal(dual, seq)
-        # syrk against its oracle
+        # syrk against its oracle on every entry it owns; the rest untouched
         csym = fa((m, m))
-        sref = dense.ref_syrk(a, csym)
+        sref, left = ref_syrk(a, csym), syrk_untouched(m)
         sbound = 8 * EPS * max(k, 1) * max(np.abs(a).max(),
                                            np.abs(csym).max(), 1.0)
-        assert np.abs(syrk_blocked(a, csym.copy(order="F")) - sref).max() \
-            <= sbound
-        assert np.abs(syrk_asym(a, csym.copy(order="F")) - sref).max() \
-            <= sbound
+        for syrk in (syrk_blocked, syrk_asym):
+            out = syrk(a, csym.copy(order="F"))
+            assert np.abs(out - sref)[~left].max() <= sbound, (m, k)
+            np.testing.assert_array_equal(out[left], csym[left])
         # trsm against its oracle
         u = np.asfortranarray(np.triu(fa((m, m)) + np.eye(m) * m))
         rhs = fa((m, n))
-        tref = dense.ref_trsm(u, rhs)
+        tref = ref_trsm(u, rhs)
         tbound = 64 * EPS * max(m, 1) * max(np.abs(u).max(),
                                             np.abs(rhs).max(), 1.0)
         assert np.abs(trsm_blocked(u, rhs.copy(order="F")) - tref).max() \
@@ -147,7 +151,8 @@ def test_criterion_4_kernel_equivalence():
             <= tbound
     # one slab on the caller alone, two slabs through the pair: bitwise
     # equality with the sequential kernel
-    for m, n, k in [(1, 1, 1), (48, 40, 30), (64, 64, 64)]:
+    for m, n, k in [(1, 1, 1), (48, 40, 30), (64, 64, 64), (127, 40, 30),
+                    (128, 64, 64), (129, 40, 30), (300, 20, 16)]:
         a, b, c0 = fa((k, m)), fa((k, n)), fa((m, n))
         seq = gemm_blocked(a, b, c0.copy(order="F"))
         dual = gemm_asym(a, b, c0.copy(order="F"))

@@ -15,7 +15,9 @@ from scipy.linalg import blas
 from ampsched import dense, kernels
 from ampsched.kernels import (MICRO_SLAB, gemm_asym, gemm_blocked, syrk_asym,
                               syrk_blocked, trsm_asym, trsm_blocked)
-from conftest import count_lane_pairs, run_with_timeout
+from conftest import (count_lane_pairs, meet_first, on_slow_lane,
+                      run_with_timeout)
+from oracles import ref_gemm, ref_syrk, ref_trsm, syrk_untouched
 
 EPS = np.finfo(np.float64).eps
 
@@ -41,10 +43,6 @@ def upper(n, seed):
     return np.asfortranarray(np.triu(rand((n, n), seed) + np.eye(n) * n))
 
 
-def on_slow_lane() -> bool:
-    return threading.current_thread().name.startswith("slow-lane")
-
-
 def record(calls: list, hook=None):
     """Wrap a slab-range kernel loop: log (lo, hi, on slow lane), then run hook."""
     def wrap(orig):
@@ -60,6 +58,10 @@ def record(calls: list, hook=None):
 
 def slabs(lo, hi, m):
     return [(s, min(s + MICRO_SLAB, m)) for s in range(lo, hi, MICRO_SLAB)]
+
+
+# Four slabs, the last one ragged.
+M4 = 3 * MICRO_SLAB + 4
 
 
 def held_run(m: int, hold_slow: bool, trsm: bool = False):
@@ -98,23 +100,6 @@ def held_run(m: int, hold_slow: bool, trsm: bool = False):
                  for lane in (False, True))
 
 
-def meet_first(orig, m: int, on_lane=None):
-    """Wrap a slab loop over m > MICRO_SLAB rows so that each call's first
-    slab on the caller (0) and on the lane thread (the last) wait for each
-    other: every call then gives the lane thread a slab. on_lane(), if
-    given, runs before each slab on the lane thread."""
-    last = (m - 1) // MICRO_SLAB * MICRO_SLAB
-    meet = threading.Barrier(2, timeout=5)
-
-    def run(*args):
-        if args[-2] in (0, last):
-            meet.wait()
-        if on_lane and on_slow_lane():
-            on_lane()
-        orig(*args)
-    return run
-
-
 class TestGemm:
     @pytest.mark.parametrize("p", OPERANDS)
     @pytest.mark.parametrize("m,n,k", [(5, 3, 7), (17, 9, 4)])
@@ -124,7 +109,7 @@ class TestGemm:
         b = np.array(scale * (rand((k, n), 1) + lo), order=order_b)
         c0 = rand((m, n), 2)
         out = gemm_asym(a, b, c0.copy(order="F"))
-        ref = dense.ref_gemm(a, b, c0)
+        ref = ref_gemm(a, b, c0)
         assert np.abs(out - ref).max() <= gemm_tol(a, b, c0, k)
         np.testing.assert_array_equal(out, gemm_blocked(a, b, c0.copy(order="F")))
 
@@ -132,19 +117,19 @@ class TestGemm:
     def test_sizes_match_oracle(self, m, n, k):
         a, b, c0 = rand((k, m), 3), rand((k, n), 4), rand((m, n), 5)
         out = gemm_blocked(a, b, c0.copy(order="F"))
-        ref = dense.ref_gemm(a, b, c0)
+        ref = ref_gemm(a, b, c0)
         assert np.abs(out - ref).max() <= gemm_tol(a, b, c0, k)
 
     def test_result_independent_of_mc_on_slab_grid(self):
         # Each lane's row block (its mc) is a run of slabs on the absolute
-        # 32-row grid, so holding either lane cuts 100 rows elsewhere and
+        # grid, so holding either lane cuts the M4 rows elsewhere and
         # held_run still finds the bits of gemm_blocked.
         cuts = set()
         for hold_slow in (False, True):
-            fast, slow = held_run(100, hold_slow)
+            fast, slow = held_run(M4, hold_slow)
             cuts.add(max(hi for _, hi in fast))
-            assert sorted(fast + slow) == slabs(0, 100, 100)
-        assert cuts == {32, 96}
+            assert sorted(fast + slow) == slabs(0, M4, M4)
+        assert cuts == {MICRO_SLAB, 3 * MICRO_SLAB}
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
@@ -166,41 +151,48 @@ class TestGemmAsym:
         np.testing.assert_array_equal(dual, seq)
 
     def test_unequal_lane_mc_still_bitwise(self):
-        # With the caller held, the lanes get unequal row blocks (mc 32
-        # and 68); the lane thread's starts with the ragged slab.
-        fast, slow = held_run(100, hold_slow=False)
-        assert fast == [(0, 32)]
-        assert slow == [(96, 100), (64, 96), (32, 64)]
+        # With the caller held, the lanes get unequal row blocks (one slab
+        # and the other three); the lane thread's starts with the ragged
+        # slab.
+        fast, slow = held_run(M4, hold_slow=False)
+        ms = MICRO_SLAB
+        assert fast == [(0, ms)]
+        assert slow == [(3 * ms, M4), (2 * ms, 3 * ms), (ms, 2 * ms)]
 
 
 class TestSyrkTrsm:
-    @pytest.mark.parametrize("m,k", [(1, 1), (7, 5), (33, 17), (64, 64)])
+    @pytest.mark.parametrize("m,k", [(1, 1), (7, 5), (33, 17), (64, 64),
+                                     (129, 5), (300, 17)])
     def test_syrk_matches_oracle(self, m, k):
+        # Within the bound from each row's slab start rightwards, bitwise
+        # untouched left of it.
         a, c0 = rand((k, m), 21), rand((m, m), 22)
         out = syrk_blocked(a, c0.copy(order="F"))
-        ref = dense.ref_syrk(a, c0)
-        assert np.abs(out - ref).max() <= gemm_tol(a, a, c0, k)
+        ref, left = ref_syrk(a, c0), syrk_untouched(m)
+        assert np.abs(out - ref)[~left].max() <= gemm_tol(a, a, c0, k)
+        np.testing.assert_array_equal(out[left], c0[left])
         np.testing.assert_array_equal(
             syrk_asym(a, c0.copy(order="F")), out)
 
-    @pytest.mark.parametrize("n,m", [(1, 1), (5, 9), (33, 64), (64, 17)])
+    @pytest.mark.parametrize("n,m", [(1, 1), (5, 9), (33, 64), (64, 17),
+                                     (9, 300)])
     def test_trsm_matches_oracle(self, n, m):
         u = upper(n, 23)
         b0 = rand((n, m), 24)
         out = trsm_blocked(u, b0.copy(order="F"))
-        ref = dense.ref_trsm(u, b0)
+        ref = ref_trsm(u, b0)
         hi = max(np.abs(u).max(), np.abs(b0).max(), 1.0)
         assert np.abs(out - ref).max() <= 64 * EPS * n * hi
         np.testing.assert_array_equal(
             trsm_asym(u, b0.copy(order="F")), out)
 
     def test_trsm_column_chunking_bitwise(self):
-        # Holding either lane cuts the 100 RHS columns at another slab
+        # Holding either lane cuts the M4 RHS columns at another slab
         # edge; held_run checks the bits against trsm_blocked.
-        for hold_slow, cut in ((False, 32), (True, 96)):
-            fast, slow = held_run(100, hold_slow, trsm=True)
-            assert fast == slabs(0, cut, 100)
-            assert slow == slabs(cut, 100, 100)[::-1]
+        for hold_slow, cut in ((False, MICRO_SLAB), (True, 3 * MICRO_SLAB)):
+            fast, slow = held_run(M4, hold_slow, trsm=True)
+            assert fast == slabs(0, cut, M4)
+            assert slow == slabs(cut, M4, M4)[::-1]
 
     def test_trsm_singular_propagates(self):
         u = np.triu(np.ones((4, 4), order="F"))
@@ -219,7 +211,7 @@ class TestLaneFailure:
         # lane writes B.
         u = np.asfortranarray(np.triu(rand((6, 6), 27) + np.eye(6)))
         u[2, 2] = 0.0
-        b0 = rand((6, 100), 28)
+        b0 = rand((6, M4), 28)
         b = b0.copy(order="F")
         with pytest.raises(dense.SingularTriangularError) as exc:
             trsm_asym(u, b)
@@ -230,9 +222,10 @@ class TestLaneFailure:
         def fail():
             raise FloatingPointError("slow lane")
 
+        m = 2 * MICRO_SLAB
         monkeypatch.setattr(kernels, "_gemm_rows",
-                            meet_first(kernels._gemm_rows, 256, fail))
-        a, b, c = rand((8, 256), 29), rand((8, 8), 30), rand((256, 8), 31)
+                            meet_first(kernels._gemm_rows, m, fail))
+        a, b, c = rand((8, m), 29), rand((8, 8), 30), rand((m, 8), 31)
         with pytest.raises(FloatingPointError, match="slow lane"):
             gemm_asym(a, b, c)
 
@@ -240,23 +233,25 @@ class TestLaneFailure:
 class TestLanePair:
     def test_direct_calls_leave_no_thread(self):
         before = threading.active_count()
-        a, b, c = rand((8, 256), 32), rand((8, 8), 33), rand((256, 8), 34)
-        u, rhs = upper(6, 35), rand((6, 100), 36)
+        m = 2 * MICRO_SLAB
+        a, b, c = rand((8, m), 32), rand((8, 8), 33), rand((m, 8), 34)
+        u, rhs = upper(6, 35), rand((6, M4), 36)
 
         def calls():
             gemm_asym(a, b, c)
-            syrk_asym(a, rand((256, 256), 37))
+            syrk_asym(a, rand((m, m), 37))
             trsm_asym(u, rhs)
 
         run_with_timeout(calls)
         assert threading.active_count() == before
 
     def test_returns_only_after_the_slow_lane(self, monkeypatch):
-        a, b, c0 = rand((8, 256), 45), rand((8, 8), 46), rand((256, 8), 47)
+        m = 2 * MICRO_SLAB
+        a, b, c0 = rand((8, m), 45), rand((8, 8), 46), rand((m, 8), 47)
         expect = gemm_blocked(a, b, c0.copy(order="F"))
         # The lane thread finishes its slabs well after the caller.
         monkeypatch.setattr(kernels, "_gemm_rows", meet_first(
-            kernels._gemm_rows, 256, lambda: time.sleep(0.05)))
+            kernels._gemm_rows, m, lambda: time.sleep(0.05)))
 
         def calls():
             with kernels.lane_pair():
@@ -274,10 +269,11 @@ class TestLanePair:
             if fail[0]:
                 raise FloatingPointError("slow lane")
 
-        a, b, c0 = rand((8, 256), 38), rand((8, 8), 39), rand((256, 8), 40)
+        m = 2 * MICRO_SLAB
+        a, b, c0 = rand((8, m), 38), rand((8, 8), 39), rand((m, 8), 40)
         expect = gemm_blocked(a, b, c0.copy(order="F"))
         monkeypatch.setattr(kernels, "_gemm_rows",
-                            meet_first(kernels._gemm_rows, 256, lane))
+                            meet_first(kernels._gemm_rows, m, lane))
 
         def calls():
             outside = threading.active_count()
@@ -289,7 +285,7 @@ class TestLanePair:
                 for _ in range(3):
                     out = gemm_asym(a, b, c0.copy(order="F"))
                     np.testing.assert_array_equal(out, expect)
-                    trsm_asym(upper(6, 41), rand((6, 100), 42))
+                    trsm_asym(upper(6, 41), rand((6, M4), 42))
                 assert threading.active_count() == outside + 1
 
         run_with_timeout(calls)
@@ -300,20 +296,21 @@ class TestSlabStealing:
     """The caller pops slabs from the front of one deque, the lane thread
     from the back."""
 
-    M = 8 * MICRO_SLAB
+    M = 4 * MICRO_SLAB
 
     def test_fast_lane_takes_held_slow_lanes_far_slabs(self):
         fast, slow = held_run(self.M, hold_slow=True)
-        assert slow == [(224, 256)]
-        assert fast == slabs(0, 224, self.M)
+        last = self.M - MICRO_SLAB
+        assert slow == [(last, self.M)]
+        assert fast == slabs(0, last, self.M)
 
     def test_slow_lane_takes_held_fast_lanes_far_slabs(self):
         fast, slow = held_run(self.M, hold_slow=False)
-        assert fast == [(0, 32)]
-        assert slow == slabs(32, 256, self.M)[::-1]
+        assert fast == [(0, MICRO_SLAB)]
+        assert slow == slabs(MICRO_SLAB, self.M, self.M)[::-1]
 
     @settings(max_examples=40, deadline=None)
-    @given(m=st.integers(1, 200), k=st.integers(1, 40),
+    @given(m=st.integers(1, 4 * MICRO_SLAB), k=st.integers(1, 40),
            delays=st.lists(st.sampled_from([0.0, 1e-4, 1e-3]),
                            min_size=1, max_size=7))
     def test_every_slab_once_and_bitwise(self, m, k, delays):
@@ -326,8 +323,8 @@ class TestSlabStealing:
         wrap = record(calls, lambda lo, hi: time.sleep(
             delays[lo // MICRO_SLAB % len(delays)]))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_gemm_rows", wrap(kernels._gemm_rows))
-            mp.setattr(kernels, "_trsm_cols", wrap(kernels._trsm_cols))
+            for name in ("_gemm_rows", "_syrk_rows", "_trsm_cols"):
+                mp.setattr(kernels, name, wrap(getattr(kernels, name)))
             for run, want in zip((
                     lambda: gemm_asym(a, b, c0.copy(order="F")),
                     lambda: syrk_asym(a, cs0.copy(order="F")),
@@ -388,10 +385,13 @@ class TestSlabStealing:
         assert all(hi - lo == MICRO_SLAB and lo % MICRO_SLAB == 0
                    for lo, hi, _ in calls)
 
-    @pytest.mark.parametrize("m,handoffs", [
+    # m32 is a row count on a 32-row slab, scaled to MICRO_SLAB: below one
+    # slab, exactly one, one and a ragged one, 1.5, 2 and 4 slabs.
+    @pytest.mark.parametrize("m32,handoffs", [
         (4, 0), (32, 0), (33, 1), (50, 1), (64, 1), (128, 1)])
-    def test_handoff_only_with_two_or_more_slabs(self, monkeypatch, m,
+    def test_handoff_only_with_two_or_more_slabs(self, monkeypatch, m32,
                                                  handoffs):
+        m = m32 * MICRO_SLAB // 32
         made, handed = count_lane_pairs(monkeypatch)
         calls = []
         monkeypatch.setattr(kernels, "_gemm_rows",
@@ -407,7 +407,7 @@ class TestSlabStealing:
 
 
 class TestTrsmPlumbing:
-    SIZE = st.one_of(st.sampled_from([1, 31, 32, 33, 90, 257]),
+    SIZE = st.one_of(st.sampled_from([1, 31, 127, 128, 129, 257]),
                      st.integers(1, 300))
 
     @settings(max_examples=60, deadline=None)
@@ -439,7 +439,7 @@ class TestTrsmPlumbing:
 
 
 class TestSlabGrid:
-    SIZE = st.one_of(st.sampled_from([1, 31, 32, 33, 90, 257, 300]),
+    SIZE = st.one_of(st.sampled_from([1, 31, 127, 128, 129, 257, 300]),
                      st.integers(1, 300))
 
     @settings(max_examples=60, deadline=None)
@@ -449,7 +449,7 @@ class TestSlabGrid:
         csym, u, rhs = rand((m, m), n), upper(k, m), rand((k, m), n)
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_gemm_rows", "_trsm_cols"):
+            for name in ("_gemm_rows", "_syrk_rows", "_trsm_cols"):
                 mp.setattr(kernels, name, record(calls)(getattr(kernels, name)))
             dual = (gemm_asym(a, b, c0.copy(order="F")),
                     syrk_asym(a, csym.copy(order="F")),

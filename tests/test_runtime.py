@@ -4,6 +4,7 @@ import itertools
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
                               TraceEvent, WorkerDescriptor, gflops,
                               make_workers, run)
 from ampsched.taskgraph import build_cholesky_dag
-from conftest import check_trace_legality, count_lane_pairs, run_with_timeout
+from conftest import (check_trace_legality, count_lane_pairs, meet_first,
+                      run_with_timeout)
 
 POLICIES = [Policy(OBLIVIOUS), Policy(CATS), Policy(VC_POLICY)]
 
@@ -99,9 +101,11 @@ class TestFactorization:
                     baseline = blob
                 assert blob == baseline
 
-    @pytest.mark.parametrize("n,b", [(22, 4), (100, 33), (200, 90)])
+    @pytest.mark.parametrize("n,b", [(22, 4), (100, 33), (200, 90),
+                                     (600, 290)])
     def test_factor_bitwise_identical_across_lane_ratios(self, n, b):
-        # Tile sizes off the 32-row grid, each with a ragged last tile.
+        # Tile sizes off the slab grid, each with a ragged last tile; 290
+        # is three slabs, so its VC calls hand slabs to the lane thread.
         a = dense.make_spd(n, seed=3)
         g = build_cholesky_dag(-(-n // b))
         _, _, bm, _ = factor(n, b, Policy(OBLIVIOUS), 1, seed=3)
@@ -392,15 +396,16 @@ class TestFailLoudWorkers:
 
 
 class TestLanePairLifecycle:
-    # b=128 tiles: four slabs per kernel call, shared with the lane thread.
+    # B-wide tiles: two slabs per kernel call, shared with the lane thread.
+    B = 2 * kernels.MICRO_SLAB
 
     @pytest.mark.parametrize("nworkers", [1, 4])
     def test_one_pair_per_vc_worker_and_none_left(self, monkeypatch, nworkers):
         made, handoffs = count_lane_pairs(monkeypatch)
         before = threading.active_count()
-        a = dense.make_spd(384, 6)
+        a = dense.make_spd(3 * self.B, 6)
         bm, _ = run_with_timeout(lambda: run(
-            build_cholesky_dag(3), BlockedMatrix.from_matrix(a, 128),
+            build_cholesky_dag(3), BlockedMatrix.from_matrix(a, self.B),
             Policy(VC_POLICY), make_workers(VC_POLICY, nworkers)))
         assert threading.active_count() == before
         assert dense.residual(a, bm.upper_factor()) < 1e-12
@@ -408,18 +413,19 @@ class TestLanePairLifecycle:
         assert len(handoffs) > nworkers  # pairs are reused across tasks
 
     def test_stress_short_switch_interval(self):
-        # Six pairs (12 threads) with frequent switches; every 64-wide tile
-        # is two slabs, so every call hands work to a lane.
+        # Six pairs (12 threads) with frequent switches; every tile is two
+        # slabs, so every call hands work to a lane.
         # A lost handoff would hang; a lane running late would change bits.
-        a = dense.make_spd(256, seed=7)
+        n = 4 * self.B
+        a = dense.make_spd(n, seed=7)
         g = build_cholesky_dag(4)
-        _, _, ref, _ = factor(256, 64, Policy(OBLIVIOUS), 1, seed=7)
+        _, _, ref, _ = factor(n, self.B, Policy(OBLIVIOUS), 1, seed=7)
         before = threading.active_count()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             bm, trace = run_with_timeout(lambda: run(
-                g, BlockedMatrix.from_matrix(a, 64), Policy(VC_POLICY),
+                g, BlockedMatrix.from_matrix(a, self.B), Policy(VC_POLICY),
                 make_workers(VC_POLICY, 6)))
         finally:
             sys.setswitchinterval(old)
@@ -430,36 +436,50 @@ class TestLanePairLifecycle:
     def test_nan_input_closes_every_pair(self, monkeypatch):
         made, _ = count_lane_pairs(monkeypatch)
         before = threading.active_count()
-        a = dense.make_spd(384, 6)
-        a[5, 200] = np.nan  # solved by a T task, fails at the pivot of 200
-        bm = BlockedMatrix.from_matrix(a, 128)
+        a = dense.make_spd(3 * self.B, 6)
+        col = self.B + 44
+        a[5, col] = np.nan  # solved by a T task, fails at the pivot of col
+        bm = BlockedMatrix.from_matrix(a, self.B)
         with pytest.raises(NotPositiveDefiniteError) as exc:
             run_with_timeout(lambda: run(build_cholesky_dag(3), bm,
                                          Policy(VC_POLICY),
                                          make_workers(VC_POLICY, 4)))
-        assert exc.value.index == 200
+        assert exc.value.index == col
         assert isinstance(exc.value.trace, Trace)
         assert threading.active_count() == before
         assert len(made) == 4
 
     def test_slow_lane_failure_is_raised_with_trace(self, monkeypatch):
-        orig = kernels._gemm_rows
+        def fail():
+            raise FloatingPointError("slow lane")
 
-        def rows(a, b, c, lo, hi):
-            if lo > 0:  # the slow lane owns the trailing rows
-                raise FloatingPointError("slow lane")
-            orig(a, b, c, lo, hi)
-
-        monkeypatch.setattr(kernels, "_gemm_rows", rows)
+        # The one G task's call gives the lane thread a slab, which fails.
+        monkeypatch.setattr(kernels, "_gemm_rows",
+                            meet_first(kernels._gemm_rows, self.B, fail))
         before = threading.active_count()
         g = build_cholesky_dag(3)
-        bm = BlockedMatrix.from_matrix(dense.make_spd(384, 6), 128)
+        bm = BlockedMatrix.from_matrix(dense.make_spd(3 * self.B, 6), self.B)
         with pytest.raises(FloatingPointError, match="slow lane") as exc:
             run_with_timeout(lambda: run(g, bm, Policy(VC_POLICY),
                                          make_workers(VC_POLICY, 2)))
         assert isinstance(exc.value.trace, Trace)
         assert len(exc.value.trace.events) < len(g.tasks)
         assert threading.active_count() == before
+
+    def test_vc_worker_hands_slabs_to_its_lane(self, monkeypatch):
+        # 3×3 tiles (n=768, b=256), the smallest grid with a G task. Each
+        # call gives the lane thread a slab: G, S and T calls all reach it.
+        a, g, ref, _ = factor(3 * self.B, self.B, Policy(OBLIVIOUS), 1, 8)
+        on_lane = set()
+        for name in ("_gemm_rows", "_syrk_rows", "_trsm_cols"):
+            monkeypatch.setattr(kernels, name, meet_first(
+                getattr(kernels, name), self.B, partial(on_lane.add, name)))
+        bm, trace = run_with_timeout(lambda: run(
+            g, BlockedMatrix.from_matrix(a, self.B), Policy(VC_POLICY),
+            make_workers(VC_POLICY, 1)))
+        assert on_lane == {"_gemm_rows", "_syrk_rows", "_trsm_cols"}
+        assert {e.kind for e in trace.events} >= {"G", "S", "T"}
+        assert bm.upper_factor().tobytes() == ref.upper_factor().tobytes()
 
 
 class TestBlasThreads:
