@@ -9,8 +9,8 @@ asymmetric big.LITTLE machine.
 
 from .dense import (BlockedMatrix, NotPositiveDefiniteError,
                     SingularTriangularError, make_spd, ref_potrf, residual)
-from .kernels import (gemm_asym, gemm_blocked, kernel_crossover_probe,
-                      syrk_asym, syrk_blocked, trsm_asym, trsm_blocked)
+from .kernels import (gemm_asym, gemm_blocked, syrk_asym, syrk_blocked,
+                      trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
                       WorkerDescriptor, gflops, make_workers, run)
 from .sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,

@@ -31,9 +31,6 @@ the factorization is bitwise independent of the schedule. Nothing relies
 on a BLAS call giving the same bits when it is cut at a different place.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
 pair; outside it, a call makes a pair for itself.
-
-kernel_crossover_probe times the sequential against the dual-lane gemm
-by size. The crossover it finds is measured on the host, not modeled.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import threading
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
@@ -331,42 +327,3 @@ def trsm_asym(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     _run_lanes(b.shape[1], partial(_trsm_cols, _check_trsm(u, b)))
     return b
 
-
-CROSSOVER_FIELDS = ["size", "flops", "seq_seconds", "asym_seconds",
-                    "seq_gflops", "asym_gflops"]
-
-
-def _gemm_seconds(gemm, a: np.ndarray, b: np.ndarray, c0: np.ndarray) -> float:
-    c = np.array(c0, order="F")
-    t0 = time.perf_counter()
-    gemm(a, b, c)
-    return time.perf_counter() - t0
-
-
-def kernel_crossover_probe(sizes: list[int]) -> list[dict]:
-    """Time sequential vs dual-lane gemm at square sizes, min of five calls.
-
-    A size of at most MICRO_SLAB is one slab, which the dual-lane call
-    runs on the caller alone. The dual-lane calls share one lane pair held
-    across all sizes, as on a VC worker, so asym_seconds includes the lane
-    handoff but no thread start. BLAS is held at one thread, as in a run,
-    and the two kernels alternate. The times are wall-clock on the host
-    that runs the probe: no model in the package predicts where the
-    dual-lane call starts to win. One row of CROSSOVER_FIELDS per size.
-    """
-    if not sizes:
-        raise ValueError("sizes must be nonempty")
-    rng = np.random.default_rng(0)
-    rows = []
-    with single_blas_thread(), lane_pair():
-        for sz in sizes:
-            a, b, c0 = (np.asfortranarray(rng.random((sz, sz)))
-                        for _ in range(3))
-            seq = asym = float("inf")
-            for _ in range(5):
-                seq = min(seq, _gemm_seconds(gemm_blocked, a, b, c0))
-                asym = min(asym, _gemm_seconds(gemm_asym, a, b, c0))
-            flops = 2.0 * sz ** 3
-            rows.append(dict(zip(CROSSOVER_FIELDS, (
-                sz, flops, seq, asym, flops / seq / 1e9, flops / asym / 1e9))))
-    return rows

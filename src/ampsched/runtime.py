@@ -8,20 +8,20 @@ Three scheduling policies are supported:
 * VC — one worker per fast+slow virtual-core pair, each task internally
   split across the pair by the asymmetric kernels.
 
-Scheduling state lives in one deterministic core, SchedulerCore: the
-indegree counters (the last completing predecessor enables a successor),
-the enable-event counter, the completion count and the two-heap
-ReadyPool. run() drives it from worker threads under one condition
-variable; the simulator in :mod:`ampsched.sim` drives the same core from
-its event loop, so both reach every decision through ReadyPool.select.
-Both also check their resource kinds against the policy with one rule
-(check_worker_kinds) and report a stall with one message (STALLED).
-Each VC worker keeps one slow-lane thread (kernels.lane_pair, a
-one-thread executor) for the whole run, and numpy's and scipy's OpenBLAS
-pools are held at one thread while the workers run. A failure in any
-worker stops all workers and is re-raised by run() with the partial
-trace attached. Trace events are recorded per worker without locks and
-merged by Trace.collect.
+The dispatch protocol lives in one deterministic core, SchedulerCore:
+the indegree counters (the last completing predecessor enables a
+successor), the completion count that orders enable events, the two-heap
+ReadyPool, the rule that matches a policy to the workers' resource
+kinds, the idle fast-worker count that CATS stealing reads, the stall
+error (STALLED) and one (worker, task, start, end) record per completed
+task. run() drives it from worker threads under one condition variable;
+the simulator in :mod:`ampsched.sim` drives the same core from its event
+loop, so both reach every decision through SchedulerCore.select. Each VC
+worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
+executor) for the whole run, and numpy's and scipy's OpenBLAS pools are
+held at one thread while the workers run. A failure in any worker stops
+all workers and is re-raised by run() with the partial trace attached.
+Trace.collect builds the trace events once, from the core's records.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from . import dense, kernels
 from .dense import BlockedMatrix, NotPositiveDefiniteError
 from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels
-from .trace import Trace, TraceEvent
+from .trace import Trace, TraceEvent  # noqa: F401 (re-exported)
 
 FAST = "fast"
 SLOW = "slow"
@@ -173,26 +173,47 @@ class ReadyPool:
         return heapq.heappop(heap)[1] if heap is not None else None
 
 
-class SchedulerCore:
-    """The ready -> dispatch -> complete state run() and simulate() share.
+# Raised by SchedulerCore.select, in run() and sim.simulate() alike.
+STALLED = "scheduling stalled: no worker may take any ready task under this policy"
 
-    Owns the indegree counters, the enable-event counter, the completion
-    count and the ready pool. Deterministic and not thread-safe: run()
-    calls it under its condition variable, simulate() from its event loop.
-    For CATS, bottom levels are computed from priority_cost, without
-    which the ReadyPool raises ValueError.
+
+class SchedulerCore:
+    """The dispatch protocol run() and simulate() share.
+
+    Owns the indegree counters, the completion count (which also orders
+    enable events), the ready pool, the set of busy workers and one
+    (worker, task id, start_ns, end_ns) record per completed task.
+    Deterministic and not thread-safe: run() calls it under its condition
+    variable, simulate() from its event loop.
+
+    workers maps each worker id, all idle at first, to its resource kind.
+    ValueError unless the policy suits those kinds: the VC policy iff
+    every kind is VC (VC pairs, the VC machine view), oblivious and CATS
+    on fast/slow lanes only, and CATS with at least one fast lane. CATS
+    ranks tasks by bottom levels over priority_cost, without which the
+    ReadyPool raises ValueError.
     """
 
-    def __init__(self, g: TaskGraph, policy: Policy,
+    def __init__(self, g: TaskGraph, policy: Policy, workers: dict[int, str],
                  priority_cost: Optional[Callable[[Task], float]] = None):
+        kinds = set(workers.values())
+        if (policy.kind == VC_POLICY) != (kinds == {VC}):
+            raise ValueError("VC policy requires the VC machine view and vice versa")
+        if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
+            raise ValueError(f"{policy.kind} policy requires fast/slow lane workers")
+        if policy.kind == CATS and FAST not in kinds:
+            raise ValueError("CATS requires at least one fast worker")
         self.g = g
+        self.workers = workers
         priorities = None
         if policy.kind == CATS and priority_cost is not None:
             priorities = bottom_levels(g, priority_cost)
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
-        self.event_seq = 0
         self.completed = 0
+        self.busy: set[int] = set()
+        self.idle_fast = sum(k == FAST for k in workers.values())
+        self.records: list[tuple[int, int, int, int]] = []
         for tid, deg in enumerate(self.indegree):
             if deg == 0:
                 self.pool.push(tid, 0)
@@ -201,47 +222,41 @@ class SchedulerCore:
     def done(self) -> bool:
         return self.completed == len(self.g.tasks)
 
-    def select(self, resource: str, idle_fast: int = 0) -> Optional[int]:
-        return self.pool.select(resource, idle_fast)
+    def select(self, worker_id: int) -> Optional[int]:
+        """The next task for an idle worker, which then counts as busy.
 
-    def complete(self, tid: int) -> None:
-        """Count tid as finished and enable the successors it released."""
+        None if the policy gives this worker nothing now. RuntimeError
+        (STALLED) if no worker runs a task and no worker kind may take any
+        ready task before the run is done: nothing can become ready then
+        (e.g. CATS without stealing and no slow lane).
+        """
+        kind = self.workers[worker_id]
+        tid = self.pool.select(kind, self.idle_fast)
+        if tid is not None:
+            self.busy.add(worker_id)
+            self.idle_fast -= kind == FAST
+        elif not self.busy and not self.done and not any(
+                self.pool.can_select(k, self.idle_fast)
+                for k in set(self.workers.values())):
+            raise RuntimeError(STALLED)
+        return tid
+
+    def complete(self, worker_id: int, tid: int, start_ns: int,
+                 end_ns: int) -> None:
+        """Record worker's run of tid, mark it idle, enable what tid released."""
+        self.busy.remove(worker_id)
+        self.idle_fast += self.workers[worker_id] == FAST
+        self.records.append((worker_id, tid, start_ns, end_ns))
         self.completed += 1
-        self.event_seq += 1
         for succ in self.g.successors[tid]:
             self.indegree[succ] -= 1
             if self.indegree[succ] == 0:
-                self.pool.push(succ, self.event_seq)
+                self.pool.push(succ, self.completed)
 
-    def stalled(self, resources, idle_fast: int) -> bool:
-        """Whether no worker of the given resource kinds may take any ready task.
-
-        Only meaningful when every worker is idle: then no completion is
-        in flight and nothing new can become ready, so the policy cannot
-        schedule the rest on this worker set (e.g. CATS without stealing
-        and no slow lane).
-        """
-        return not any(self.pool.can_select(r, idle_fast) for r in resources)
-
-
-# Raised by run() and sim.simulate() when the policy leaves ready tasks
-# that no worker may take (SchedulerCore.stalled).
-STALLED = "scheduling stalled: no worker may take any ready task under this policy"
-
-
-def check_worker_kinds(policy: Policy, kinds: set[str]) -> None:
-    """ValueError unless policy may run on workers of these resource kinds.
-
-    The rule run() and sim.simulate() share: the VC policy iff every kind
-    is VC (VC pairs, the VC machine view), oblivious and CATS on fast/slow
-    lanes only, and CATS with at least one fast lane.
-    """
-    if (policy.kind == VC_POLICY) != (kinds == {VC}):
-        raise ValueError("VC policy requires the VC machine view and vice versa")
-    if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
-        raise ValueError(f"{policy.kind} policy requires fast/slow lane workers")
-    if policy.kind == CATS and FAST not in kinds:
-        raise ValueError("CATS requires at least one fast worker")
+    def trace(self, wall_start: int, wall_end: int) -> Trace:
+        """The trace of every completed task, workers in the given order."""
+        return Trace.collect(self.g.tasks, self.records, wall_start, wall_end,
+                             list(self.workers))
 
 
 def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
@@ -281,13 +296,10 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         raise ValueError("at least one worker is required")
     if len({w.id for w in workers}) != len(workers):
         raise ValueError("worker ids must be distinct")
-    kinds = {w.resource for w in workers}
-    check_worker_kinds(policy, kinds)
-
-    core = SchedulerCore(g, policy, default_priority_cost(bm.b))
+    core = SchedulerCore(g, policy, {w.id: w.resource for w in workers},
+                         default_priority_cost(bm.b))
     cond = threading.Condition(threading.Lock())
-    state = {"idle_fast": 0, "waiting": 0, "error": None}
-    n_fast = sum(w.resource == FAST for w in workers)
+    state = {"error": None}
 
     def body(task: Task, worker: WorkerDescriptor) -> None:
         blk = bm.blocks
@@ -315,47 +327,33 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
             gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
             gemm(blk[k][i], blk[k][j], blk[i][j])
 
-    events_per_worker: dict[int, list[TraceEvent]] = {w.id: [] for w in workers}
-
     def next_task(worker: WorkerDescriptor) -> Optional[int]:
-        # Called under cond; None means stop. A waiting worker that was
-        # just notified can still be counted in the wait set, so the stall
-        # test re-checks eligibility instead of trusting the count alone.
+        # Called under cond; None means stop. The core counts the worker idle
+        # from its completion until select succeeds: while it waits here.
         while state["error"] is None and not core.done:
-            tid = core.select(worker.resource, state["idle_fast"])
+            tid = core.select(worker.id)
             if tid is not None:
                 return tid
-            state["waiting"] += 1
-            if state["waiting"] == len(workers) and core.stalled(kinds, n_fast):
-                raise RuntimeError(STALLED)
-            fast = worker.resource == FAST
-            state["idle_fast"] += fast
             cond.wait()
-            state["waiting"] -= 1
-            state["idle_fast"] -= fast
         return None
 
     def worker_loop(worker: WorkerDescriptor) -> None:
-        my_events = events_per_worker[worker.id]
         # A VC worker keeps one slow-lane thread for the whole run; the
         # pair is joined when the loop ends, failed or not.
         lane_scope = (kernels.lane_pair() if worker.resource == VC
                       else contextlib.nullcontext())
         try:
             with lane_scope:
-                while True:
-                    with cond:
-                        tid = next_task(worker)
-                    if tid is None:
-                        return
-                    task = g.tasks[tid]
+                with cond:
+                    tid = next_task(worker)
+                while tid is not None:
                     start = time.perf_counter_ns()
-                    body(task, worker)
+                    body(g.tasks[tid], worker)
                     end = time.perf_counter_ns()
-                    my_events.append(TraceEvent.of(worker.id, task, start, end))
                     with cond:
-                        core.complete(tid)
+                        core.complete(worker.id, tid, start, end)
                         cond.notify_all()
+                        tid = next_task(worker)
         except BaseException as exc:  # run() re-raises it after the join
             with cond:  # the first failure wins; wake every waiter to stop
                 if state["error"] is None:
@@ -371,8 +369,7 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
             t.join()
     wall_end = time.perf_counter_ns()
 
-    trace = Trace.collect((e for evs in events_per_worker.values() for e in evs),
-                          wall_start, wall_end, [w.id for w in workers])
+    trace = core.trace(wall_start, wall_end)
     if state["error"] is not None:
         err = state["error"]
         err.trace = trace

@@ -4,11 +4,12 @@ Replays a task graph under the same scheduling policies as the threaded
 runtime, with task durations taken from a cost model instead of measured.
 The event loop drives the runtime's own SchedulerCore, so dependency
 release, enable-event ordering, every ReadyPool decision, the policy
-check on resource kinds (check_worker_kinds) and the stall error are
-the same code the threads run. Time is integer nanoseconds; ready-task
-assignment within a simulation tick processes resources in ascending id
-order, so identical inputs give bitwise identical results, recorded as
-the same Trace (:mod:`ampsched.trace`) that a native run gives.
+check on resource kinds, the idle count CATS stealing reads, the stall
+error and the trace records are the same code the threads run. Time is
+integer nanoseconds; ready-task assignment within a simulation tick
+visits the idle resources in ascending id order, so identical inputs
+give bitwise identical results, recorded as the same Trace
+(:mod:`ampsched.trace`) that a native run gives.
 
 A cost model is any object with ``duration_ns(task, resource)``, and it
 prices a task by its kind and the resource alone. So CATS priorities and
@@ -20,11 +21,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache
 
-from .runtime import (CATS, FAST, SLOW, STALLED, TABLE3_BLOCK, TABLE3_MS, VC,
-                      Policy, SchedulerCore, check_worker_kinds, table3_ns)
+from .runtime import (FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, Policy,
+                      SchedulerCore, table3_ns)
 from .taskgraph import Task, TaskGraph, TaskKind, critical_path
-from .trace import Trace, TraceEvent, idle_stats
+from .trace import Trace, idle_stats
 
 GTS = "gts"
 VC_VIEW = "vc"
@@ -159,44 +161,35 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
     resources = machine.resources()
-    check_worker_kinds(policy, {r.kind for r in resources})
+    # Only CATS ranks tasks, by fast-resource durations, probed once the
+    # core has checked the resource kinds.
+    fast = cache(lambda: fastest_ns(
+        g, [r for r in resources if r.kind == FAST], cost))
+    core = SchedulerCore(g, policy, {r.id: r.kind for r in resources},
+                         lambda t: float(fast()[t.kind]))
 
-    # CATS ranks tasks by fast-resource durations; no other policy asks.
-    fast = (fastest_ns(g, [r for r in resources if r.kind == FAST], cost)
-            if policy.kind == CATS else {})
-    core = SchedulerCore(g, policy, lambda t: float(fast[t.kind]))
-
-    free = {r.id for r in resources}
-    by_id = {r.id: r for r in resources}
     running: list[tuple[int, int, int, int]] = []  # (finish, rid, tid, start)
-    events: list[TraceEvent] = []
     now = 0
-
     while not core.done:
-        for rid in sorted(free):
-            res = by_id[rid]
-            idle_fast = sum(1 for r in free
-                            if r != rid and by_id[r].kind == FAST)
-            tid = core.select(res.kind, idle_fast)
+        # A pass that leaves no task running ends in the core's stall error.
+        for res in resources:
+            if res.id in core.busy:
+                continue
+            tid = core.select(res.id)
             if tid is None:
                 continue
             dur = cost.duration_ns(g.tasks[tid], res)
             if dur <= 0:
                 raise ValueError("cost model produced a non-positive duration")
-            heapq.heappush(running, (now + dur, rid, tid, now))
-            free.discard(rid)
-        if not running:
-            raise RuntimeError(STALLED)
+            heapq.heappush(running, (now + dur, res.id, tid, now))
         # Entries finishing together pop in resource-id order, and a
         # resource runs one task at a time.
         now = running[0][0]
         while running and running[0][0] == now:
             _, rid, tid, start = heapq.heappop(running)
-            events.append(TraceEvent.of(rid, g.tasks[tid], start, now))
-            free.add(rid)
-            core.complete(tid)
+            core.complete(rid, tid, start, now)
 
-    return SimResult(now, Trace.collect(events, 0, now, [r.id for r in resources]))
+    return SimResult(now, core.trace(0, now))
 
 
 def lower_bounds(g: TaskGraph, machine: MachineModel, cost) -> tuple[int, int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .taskgraph import Task
 
@@ -24,12 +24,6 @@ class TraceEvent(NamedTuple):
     start_ns: int
     end_ns: int
 
-    @classmethod
-    def of(cls, worker: int, task: Task, start: int, end: int) -> "TraceEvent":
-        """The event of worker running task from start to end (ns)."""
-        return cls(worker, task.id, task.kind.value, task.k, task.i, task.j,
-                   start, end)
-
 
 EVENT_FIELDS = TraceEvent._fields
 
@@ -42,11 +36,17 @@ class Trace:
     workers: list[int] = field(default_factory=list)
 
     @classmethod
-    def collect(cls, events: Iterable[TraceEvent], wall_start: int,
+    def collect(cls, tasks: Sequence[Task],
+                records: Iterable[tuple[int, int, int, int]], wall_start: int,
                 wall_end: int, workers: list[int]) -> "Trace":
-        """A trace of events put in the canonical (start_ns, worker) order."""
-        return cls(sorted(events, key=lambda e: (e.start_ns, e.worker)),
-                   wall_start, wall_end, workers)
+        """A trace of (worker, task id, start_ns, end_ns) records over tasks,
+        one event per record in the canonical (start_ns, worker) order."""
+        events = []
+        for w, tid, start, end in sorted(records, key=itemgetter(2, 0)):
+            t = tasks[tid]
+            events.append(TraceEvent(w, tid, t.kind.value, t.k, t.i, t.j,
+                                     start, end))
+        return cls(events, wall_start, wall_end, workers)
 
     def to_json(self) -> str:
         return json.dumps({

@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the package in src/."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +12,14 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def load_demo(name: str):
+    """Import a demo script as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "demos" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ)
@@ -19,3 +28,19 @@ def test_demo_exits_cleanly(script, tmp_path):
     out = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+class TestCrossoverProbe:
+    demo = load_demo("02_dual_lane_kernels.py")
+
+    def test_rows_and_csv_schema(self):
+        rows = self.demo.kernel_crossover_probe([8, 16])
+        assert [r["size"] for r in rows] == [8, 16]
+        for r in rows:
+            assert set(r) == set(self.demo.CROSSOVER_FIELDS)
+            assert r["seq_seconds"] > 0 and r["asym_seconds"] > 0
+            assert r["flops"] == 2.0 * r["size"] ** 3
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            self.demo.kernel_crossover_probe([])

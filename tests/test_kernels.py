@@ -464,16 +464,3 @@ class TestSlabGrid:
         grid = slabs(0, m, m) if m > MICRO_SLAB else [(0, m)]
         assert sorted((lo, hi) for lo, hi, _ in calls) == sorted(grid * 3)
 
-
-class TestCrossoverProbe:
-    def test_rows_and_csv_schema(self):
-        rows = kernels.kernel_crossover_probe([8, 16])
-        assert [r["size"] for r in rows] == [8, 16]
-        for r in rows:
-            assert set(r) == set(kernels.CROSSOVER_FIELDS)
-            assert r["seq_seconds"] > 0 and r["asym_seconds"] > 0
-            assert r["flops"] == 2.0 * r["size"] ** 3
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            kernels.kernel_crossover_probe([])

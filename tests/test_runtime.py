@@ -1,6 +1,7 @@
 """Threaded execution: policies, legality, determinism, failure handling."""
 
 import itertools
+import random
 import sys
 import threading
 import time
@@ -199,6 +200,27 @@ class TestCatsRouting:
         with pytest.raises(RuntimeError, match="stalled"):
             run(g, bm, policy, [WorkerDescriptor(0, FAST)])
 
+    @pytest.mark.parametrize("stealing", ["none", "uni", "bi"])
+    @pytest.mark.parametrize("kinds", [(FAST, SLOW), (FAST, FAST, SLOW),
+                                       (SLOW, SLOW, FAST)],
+                             ids=lambda ks: "".join(k[0] for k in ks))
+    def test_mixed_workers_neither_hang_nor_stall_under_jitter(self, kinds,
+                                                               stealing):
+        a = dense.make_spd(16, seed=5)
+        g = build_cholesky_dag(4)
+        workers = [WorkerDescriptor(i, k) for i, k in enumerate(kinds)]
+        rng = random.Random(len(kinds))
+
+        def hook(task, worker):
+            time.sleep(rng.random() * 2e-4)
+
+        for _ in range(30):
+            bm, trace = run_with_timeout(lambda: run(
+                g, BlockedMatrix.from_matrix(a, 4),
+                Policy(CATS, stealing=stealing), workers, task_hook=hook))
+            check_trace_legality(g, trace)
+            assert dense.residual(a, bm.upper_factor()) < 1e-13
+
     def test_bi_stealing_completes_with_fast_only(self):
         a = dense.make_spd(32, 1)
         g = build_cholesky_dag(4)
@@ -296,33 +318,52 @@ class TestReadyPoolProperty:
 class TestSchedulerCore:
     def test_sequential_drain_is_topological(self):
         g = build_cholesky_dag(4)
-        core = SchedulerCore(g, Policy(OBLIVIOUS))
+        core = SchedulerCore(g, Policy(OBLIVIOUS), {0: FAST})
         order = []
         while not core.done:
-            tid = core.select(FAST)
+            tid = core.select(0)
             assert tid is not None
             order.append(tid)
-            core.complete(tid)
+            core.complete(0, tid, len(order), len(order) + 1)
         assert sorted(order) == list(range(len(g.tasks)))
         pos = {t: n for n, t in enumerate(order)}
         assert all(pos[p] < pos[q] for p, q in g.edges)
-        assert core.select(FAST) is None and len(core.pool) == 0
+        assert core.select(0) is None and len(core.pool) == 0
+        assert [e.task for e in core.trace(0, len(order) + 1).events] == order
 
     def test_stalled_when_no_kind_may_take_ready_work(self):
-        # Fast lanes alone, without stealing, run out of critical work.
+        # Fast lanes alone, without stealing, run out of critical work;
+        # a slow lane in the same state takes the non-critical rest.
         g = build_cholesky_dag(4)
-        core = SchedulerCore(g, Policy(CATS, stealing="none"),
-                             runtime.default_priority_cost(4))
-        assert not core.stalled({FAST}, 1)
-        while (tid := core.select(FAST)) is not None:
-            core.complete(tid)
-        assert not core.done and len(core.pool) > 0
-        assert core.stalled({FAST}, 1)
-        assert not core.stalled({FAST, SLOW}, 1)
+        cost = runtime.default_priority_cost(4)
+        policy = Policy(CATS, stealing="none")
+        fast_only = SchedulerCore(g, policy, {0: FAST}, cost)
+        mixed = SchedulerCore(g, policy, {0: FAST, 1: SLOW}, cost)
+        while (tid := mixed.select(0)) is not None:
+            assert fast_only.select(0) == tid
+            mixed.complete(0, tid, 0, 1)
+            fast_only.complete(0, tid, 0, 1)
+        assert not mixed.done and len(mixed.pool) > 0
+        with pytest.raises(RuntimeError, match="stalled") as exc:
+            fast_only.select(0)
+        assert str(exc.value) == runtime.STALLED
+        assert mixed.select(1) is not None
+
+    def test_bi_slow_worker_steals_critical_only_when_no_fast_is_idle(self):
+        # threshold 0: every task is critical
+        g = build_cholesky_dag(3)
+        core = SchedulerCore(g, Policy(CATS, cats_threshold=0.0, stealing="bi"),
+                             {0: FAST, 1: SLOW}, runtime.default_priority_cost(4))
+        assert core.select(1) is None
+        c0 = core.select(0)
+        core.complete(0, c0, 0, 1)
+        assert len(core.pool) == 2 and core.select(1) is None
+        core.select(0)
+        assert core.select(1) is not None and core.busy == {0, 1}
 
     def test_cats_requires_priority_cost(self):
         with pytest.raises(ValueError):
-            SchedulerCore(build_cholesky_dag(2), Policy(CATS))
+            SchedulerCore(build_cholesky_dag(2), Policy(CATS), {0: FAST})
 
 
 class TestErrorPropagation:

@@ -72,19 +72,21 @@ class TestCollect:
     def test_canonical_order_from_shuffled_events(self):
         tasks = build_cholesky_dag(4).tasks
         slots = [(s, w) for s in (0, 10, 20) for w in (0, 1, 2)]
-        events = [TraceEvent.of(w, t, s, s + 5)
+        records = [(w, t.id, s, s + 5) for (s, w), t in zip(slots, tasks)]
+        events = [TraceEvent(w, t.id, t.kind.value, t.k, t.i, t.j, s, s + 5)
                   for (s, w), t in zip(slots, tasks)]
-        shuffled = events[:]
+        shuffled = records[:]
         random.Random(7).shuffle(shuffled)
-        trace = Trace.collect(shuffled, 0, 25, [0, 1, 2])
+        trace = Trace.collect(tasks, shuffled, 0, 25, [0, 1, 2])
         assert trace.events == events
         assert (trace.wall_start, trace.wall_end, trace.workers) == \
             (0, 25, [0, 1, 2])
 
     def test_event_of_task(self):
-        t = build_cholesky_dag(3).tasks[4]
-        assert TraceEvent.of(5, t, 7, 9) == TraceEvent(
-            5, t.id, t.kind.value, t.k, t.i, t.j, 7, 9)
+        tasks = build_cholesky_dag(3).tasks
+        t = tasks[4]
+        assert Trace.collect(tasks, [(5, t.id, 7, 9)], 0, 9, [5]).events == [
+            TraceEvent(5, t.id, t.kind.value, t.k, t.i, t.j, 7, 9)]
 
 
 class TestKindStats:
