@@ -6,8 +6,11 @@ Subcommands
     dag       export a Cholesky task DAG as DOT (and optionally JSON)
     trace     write a trace JSON's per-worker and per-kind summaries as CSVs
 
-Options may also come from a key=value config file (--config); explicit
-flags win on conflict. AMPSCHED_THREADS overrides --workers.
+bench options may also come from a key=value config file (--config), read
+as --key=value flags ahead of the command line's own: config values pass
+the same checks as flags, and a flag wins. AMPSCHED_THREADS overrides
+--workers. simulate's machine view follows --policy: VC pairs for vc,
+every core (GTS) otherwise.
 """
 
 from __future__ import annotations
@@ -49,17 +52,6 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _merge(args, config: dict, key: str, default, conv=str):
-    flag = getattr(args, key)
-    if flag is not None:
-        return flag
-    if key in config:
-        return conv(config[key])
-    if default is None:
-        raise SystemExit(f"missing required option --{key}")
-    return default
-
-
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
@@ -74,30 +66,20 @@ def _write_csv(path: str, fields: list[str], rows) -> None:
 
 
 def cmd_bench(args) -> int:
-    config = _load_config(args.config) if args.config else {}
-    n = _merge(args, config, "n", None, int)
-    b_list = _merge(args, config, "b", None, _int_list)
-    policy_kind = _merge(args, config, "policy", runtime.OBLIVIOUS)
-    workers = _merge(args, config, "workers", 4, int)
-    seed = _merge(args, config, "seed", 1, int)
-    reps = _merge(args, config, "reps", 3, int)
-    env_threads = os.environ.get("AMPSCHED_THREADS")
-    if env_threads:
-        workers = int(env_threads)
-    if reps < 1 or workers < 1 or any(not 1 <= b <= n for b in b_list):
+    n, policy_kind = args.n, args.policy
+    workers = int(os.environ.get("AMPSCHED_THREADS") or args.workers)
+    if args.reps < 1 or workers < 1 or any(not 1 <= b <= n for b in args.b):
         raise SystemExit("invalid bench configuration (need n >= b >= 1, "
                          "reps >= 1, workers >= 1)")
-
     policy = Policy(kind=policy_kind)
     descs = make_workers(policy_kind, workers)
     tol = max(1e-12, 100 * np.finfo(np.float64).eps * n)
+    a = dense.make_spd(n, args.seed)
     rows = []
-    for b in b_list:
-        a = dense.make_spd(n, seed)
+    for b in args.b:
         g = build_cholesky_dag(-(-n // b))
-        best = math.inf
-        resid = math.inf
-        for _ in range(reps):
+        best = resid = math.inf
+        for _ in range(args.reps):
             bm = dense.BlockedMatrix.from_matrix(a, b)
             t0 = time.perf_counter()
             bm, _trace = runtime.run(g, bm, policy, descs)
@@ -119,16 +101,15 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.machine != "exynos5422":
-        raise SystemExit(f"unknown machine {args.machine!r}")
     if not 1 <= args.b <= args.n:
         raise SystemExit("need n >= b >= 1")
-    machine, table_cost = sim.preset_exynos5422(args.view, args.b)
+    view = sim.VC_VIEW if args.policy == runtime.VC_POLICY else sim.GTS
+    machine, table_cost = sim.preset_exynos5422(view, args.b)
     cost = table_cost if args.cost == "table3" else sim.FlopsCostModel(args.b)
     s = -(-args.n // args.b)
     g = build_cholesky_dag(s)
     result = sim.simulate(g, machine, cost, Policy(kind=args.policy))
-    row = {"machine": args.machine, "view": args.view, "policy": args.policy,
+    row = {"machine": args.machine, "view": view, "policy": args.policy,
            "cost": args.cost, "n": args.n, "b": args.b, "s": s,
            "makespan_s": result.makespan_s,
            "gflops": gflops(args.n, result.makespan_s)}
@@ -172,20 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", help="run native benchmarks")
-    p.add_argument("--n", type=int)
-    p.add_argument("--b", type=_int_list,
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--b", type=_int_list, required=True,
                    help="block size or comma-separated sweep")
-    p.add_argument("--policy", choices=runtime.POLICIES)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--reps", type=int)
+    p.add_argument("--policy", choices=runtime.POLICIES,
+                   default=runtime.OBLIVIOUS)
+    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--reps", type=int, default=3)
     p.add_argument("--csv", default="-")
     p.add_argument("--config", help="key=value option file; flags win")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="simulate on a modeled machine")
-    p.add_argument("--machine", default="exynos5422")
-    p.add_argument("--view", choices=[sim.GTS, sim.VC_VIEW], default=sim.GTS)
+    p.add_argument("--machine", choices=["exynos5422"], default="exynos5422")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--policy", choices=runtime.POLICIES,
@@ -210,6 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="ampsched", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    if config and argv[:1] == ["bench"]:
+        argv[1:1] = [f"--{k}={v}" for k, v in _load_config(config).items()]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 from . import dense, kernels
 from .dense import BlockedMatrix, NotPositiveDefiniteError
-from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels
+from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels, task_counts
 from .trace import Trace, TraceEvent  # noqa: F401 (re-exported)
 
 FAST = "fast"
@@ -286,16 +286,20 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         ) -> tuple[BlockedMatrix, Trace]:
     """Execute every task of g exactly once over bm's blocks.
 
-    Returns the factored matrix (upper blocks hold U) and the trace. Only
-    the upper triangle of bm is read, as LAPACK does with uplo 'U'. A
-    non-positive-definite diagonal block, a NaN included, aborts
-    outstanding work and the raised error carries the global pivot index
-    and the partial trace.
+    Returns the factored matrix (upper blocks hold U) and the trace.
+    ValueError, before any thread starts, unless g has as many tasks as the
+    Cholesky DAG on bm's block grid. Only the upper triangle of bm is read,
+    as LAPACK does with uplo 'U'. A non-positive-definite diagonal block, a
+    NaN included, aborts outstanding work and the raised error carries the
+    global pivot index and the partial trace.
     """
     if not workers:
         raise ValueError("at least one worker is required")
     if len({w.id for w in workers}) != len(workers):
         raise ValueError("worker ids must be distinct")
+    if len(g.tasks) != sum(task_counts(bm.s).values()):
+        raise ValueError(f"a {len(g.tasks)}-task graph does not match the "
+                         f"{bm.s}x{bm.s} block grid of the matrix")
     core = SchedulerCore(g, policy, {w.id: w.resource for w in workers},
                          default_priority_cost(bm.b))
     cond = threading.Condition(threading.Lock())

@@ -82,7 +82,6 @@ class TaskGraphBuilder:
                 deps.add(w)
         for blk in writes:
             deps.update(self._readers.get(blk, ()))
-        deps.discard(tid)
         for d in sorted(deps):
             self._edges.append((d, tid))
         for blk in reads:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,15 +59,22 @@ class Trace:
 
     @classmethod
     def from_json(cls, text: str) -> "Trace":
-        """Parse to_json output, ignoring other keys; ValueError if malformed."""
+        """Parse to_json output, ignoring other keys; ValueError if malformed:
+        a key missing, or a field not of its type (kind str, all else int)."""
         doc = json.loads(text)
         values = itemgetter(*EVENT_FIELDS)
         try:
             events = [TraceEvent(*values(r)) for r in doc["events"]]
-            return cls(events, doc["wall_start_ns"], doc["wall_end_ns"],
-                       list(doc.get("workers", [])))
+            trace = cls(events, doc["wall_start_ns"], doc["wall_end_ns"],
+                        list(doc.get("workers", [])))
         except (KeyError, TypeError) as exc:  # a missing key or a wrong type
             raise ValueError(f"malformed trace: {exc}") from exc
+        columns = list(zip(*events)) or [()] * len(EVENT_FIELDS)
+        kinds = columns.pop(EVENT_FIELDS.index("kind"))
+        ints = chain((trace.wall_start, trace.wall_end), trace.workers, *columns)
+        if set(map(type, ints)) - {int} or set(map(type, kinds)) - {str}:
+            raise ValueError("malformed trace: a field has the wrong type")
+        return trace
 
 
 def idle_stats(trace: Trace, horizon_ns: int) -> dict[int, dict[str, float]]:

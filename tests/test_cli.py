@@ -2,6 +2,9 @@
 
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,21 @@ class TestBench:
         with pytest.raises(SystemExit):
             cli.main(["bench", "--config", str(cfg), "--n", "32", "--b", "16"])
 
+    @pytest.mark.parametrize("text", ["n = 32\nthreads = 2\n",
+                                      "n = 32\npolicy = fifo\n",
+                                      "n = thirty-two\n"],
+                             ids=["unknown-key", "bad-choice", "bad-int"])
+    def test_bad_config_fails_before_any_run(self, tmp_path, monkeypatch,
+                                             text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        monkeypatch.setattr(cli.runtime, "run", None)  # a run would TypeError
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--config", str(cfg), "--b", "16",
+                      "--csv", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_vc_policy_end_to_end(self, tmp_path):
         out = tmp_path / "vc.csv"
         rc = cli.main(["bench", "--n", "48", "--b", "16", "--policy", "vc",
@@ -104,20 +122,26 @@ class TestSimulate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
-    def test_vc_policy_needs_vc_view(self, capsys):
-        for policy, view in (("vc", "gts"), ("cats", "vc")):
+    def test_vc_policy_needs_vc_view(self, tmp_path):
+        # The view follows the policy, so no flag can pair them wrongly.
+        for policy, view in (("vc", "vc"), ("cats", "gts"),
+                             ("oblivious", "gts")):
+            out = tmp_path / f"{policy}.csv"
             rc = cli.main(["simulate", "--n", "896", "--b", "448",
-                           "--policy", policy, "--view", view])
-            assert rc == 1, (policy, view)
-            assert "error: VC policy requires the VC machine view" \
-                in capsys.readouterr().err
+                           "--policy", policy, "--csv", str(out)])
+            assert rc == 0, policy
+            assert read_csv(out)[0]["view"] == view, policy
 
     def test_vc_view_runs(self, tmp_path):
         out = tmp_path / "vc.csv"
         rc = cli.main(["simulate", "--n", "1344", "--b", "448",
-                       "--policy", "vc", "--view", "vc", "--csv", str(out)])
+                       "--policy", "vc", "--csv", str(out)])
         assert rc == 0
         assert read_csv(out)[0]["view"] == "vc"
+
+    def test_invalid_block_size(self):
+        with pytest.raises(SystemExit):
+            cli.main(["simulate", "--n", "4", "--b", "8"])
 
     def test_unknown_machine(self):
         with pytest.raises(SystemExit):
@@ -194,8 +218,15 @@ class TestTraceCmd:
 
     @pytest.mark.parametrize("text", [
         "{not json", "[]", "null",
-        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [1]}'],
-        ids=["not-json", "list", "null", "non-object-event"])
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [1]}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": "0", '
+        '"end_ns": 5}]}',
+        '{"wall_start_ns": "0", "wall_end_ns": 10, "events": []}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], '
+        '"workers": [[1]]}'],
+        ids=["not-json", "list", "null", "non-object-event", "str-start",
+             "str-wall-start", "list-worker"])
     def test_unreadable_trace_fails_cleanly(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -204,6 +235,20 @@ class TestTraceCmd:
         assert rc == 1
         assert "error: cannot read trace" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+def test_readme_cli_examples_parse():
+    # Each ampsched line of the README's "Command line" block, with its
+    # backslash continuations joined, must parse; none is run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S)
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line)[1:] for line in lines
+                if line.startswith("ampsched ")]
+    assert [argv[0] for argv in examples] == ["bench", "simulate", "dag",
+                                              "trace"]
+    for argv in examples:
+        cli.build_parser().parse_args(argv)
 
 
 def test_console_entry_point_help():

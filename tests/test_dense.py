@@ -142,6 +142,10 @@ class TestResidual:
         assert dense.residual(z, z) == 0.0
         assert dense.residual(z, np.eye(3)) == math.inf
 
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-d"):
+            dense.residual(np.ones(3), np.eye(3))
+
 
 class TestBlockedMatrix:
     @pytest.mark.parametrize("n,b", [(8, 8), (8, 4), (10, 3), (7, 2), (5, 5)])
@@ -178,6 +182,8 @@ class TestBlockedMatrix:
         for b in (0, 5, -1):
             with pytest.raises(ValueError):
                 BlockedMatrix.from_matrix(a, b)
+        with pytest.raises(ValueError, match="square"):
+            BlockedMatrix.from_matrix(np.ones((3, 4)), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 24), b=st.integers(1, 24), seed=st.integers(0, 5))

@@ -186,6 +186,14 @@ class TestSyrkTrsm:
         np.testing.assert_array_equal(
             trsm_asym(u, b0.copy(order="F")), out)
 
+    def test_trsm_shape_check(self):
+        b0 = rand((5, 3), 25)
+        for trsm in (trsm_blocked, trsm_asym):
+            b = b0.copy(order="F")
+            with pytest.raises(ValueError, match="nonconformal"):
+                trsm(upper(4, 26), b)
+            np.testing.assert_array_equal(b, b0)
+
     def test_trsm_column_chunking_bitwise(self):
         # Holding either lane cuts the M4 RHS columns at another slab
         # edge; held_run checks the bits against trsm_blocked.

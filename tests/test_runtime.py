@@ -65,6 +65,19 @@ class TestPolicyValidation:
             run(g, bm, Policy(OBLIVIOUS),
                 [WorkerDescriptor(0, FAST), WorkerDescriptor(0, SLOW)])
 
+    def test_graph_must_match_block_grid(self, monkeypatch):
+        # A 2-block DAG on a 3x3 grid factored part of the matrix (residual
+        # 7.0); a 4-block one indexed past the grid in a worker.
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t: started.append(t))
+        for s in (2, 4):
+            bm = BlockedMatrix.from_matrix(dense.make_spd(12, 1), 4)
+            with pytest.raises(ValueError, match="block grid"):
+                run(build_cholesky_dag(s), bm, Policy(OBLIVIOUS),
+                    make_workers(OBLIVIOUS, 2))
+        assert started == []
+
 
 class TestMakeWorkers:
     def test_vc_pairs(self):

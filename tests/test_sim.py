@@ -120,6 +120,9 @@ class TestPreset:
     def test_unknown_view(self):
         with pytest.raises(ValueError):
             preset_exynos5422("weird")
+        # The preset checks the view first; the model checks it on its own.
+        with pytest.raises(ValueError, match="unknown machine view"):
+            MachineModel(((FAST, 1.0),), "weird").resources()
 
 
 class TestSimulate:
@@ -189,6 +192,15 @@ class TestSimulate:
         vc_machine, _ = preset_exynos5422(VC_VIEW)
         with pytest.raises(ValueError):
             simulate(g, vc_machine, cost, Policy(OBLIVIOUS))
+
+    def test_rejects_non_positive_duration(self):
+        class ZeroCost:  # FixedCostModel refuses such a table itself
+            def duration_ns(self, task, resource):
+                return 0
+
+        machine = MachineModel(((FAST, 1.0),))
+        with pytest.raises(ValueError, match="non-positive duration"):
+            simulate(chain_graph(2), machine, ZeroCost(), Policy(OBLIVIOUS))
 
     def test_cats_needs_fast_resource(self):
         g = build_cholesky_dag(2)

@@ -62,7 +62,16 @@ class TestJson:
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], "workers": 2}',
         '{"events": []}',
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
-        '"kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 0, "end_ns": 5}]}'])
+        '"kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 0, "end_ns": 5}]}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": "0", '
+        '"end_ns": 5}]}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": 3, "k": 0, "i": 0, "j": 0, "start_ns": 0, '
+        '"end_ns": 5}]}',
+        '{"wall_start_ns": "0", "wall_end_ns": 10, "events": []}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], '
+        '"workers": [[1]]}'])
     def test_wrong_shape_raises_value_error(self, text):
         with pytest.raises(ValueError):
             Trace.from_json(text)
