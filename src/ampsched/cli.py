@@ -195,12 +195,12 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(prog="ampsched", add_help=False)
     pre.add_argument("--config")
     config = pre.parse_known_args(argv)[0].config
-    if config and argv[:1] == ["bench"]:
-        argv[1:1] = [f"--{k}={v}" for k, v in _load_config(config).items()]
-    args = build_parser().parse_args(argv)
     try:
+        if config and argv[:1] == ["bench"]:
+            argv[1:1] = [f"--{k}={v}" for k, v in _load_config(config).items()]
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -55,14 +55,16 @@ class MachineModel:
     cores: tuple  # of (kind, speed)
     view: str = GTS
 
+    def __post_init__(self):
+        if self.view not in (GTS, VC_VIEW):
+            raise ValueError(f"unknown machine view {self.view!r}")
+
     def resources(self) -> list[Resource]:
         if not self.cores:
             raise ValueError("a machine model needs at least one core")
         if self.view == GTS:
             return [Resource(i, kind, speed)
                     for i, (kind, speed) in enumerate(self.cores)]
-        if self.view != VC_VIEW:
-            raise ValueError(f"unknown machine view {self.view!r}")
         fast = [c for c in self.cores if c[0] == FAST]
         slow = [c for c in self.cores if c[0] == SLOW]
         if len(fast) != len(slow):
@@ -135,8 +137,6 @@ def preset_exynos5422(view: str = GTS, b: int = TABLE3_BLOCK,
     several cores are idle, which is what makes a resource-oblivious
     scheduler lose ground as the slow cluster is brought online.
     """
-    if view not in (GTS, VC_VIEW):
-        raise ValueError(f"unknown machine view {view!r}")
     cores = tuple([(SLOW, 1.0)] * 4 + [(FAST, FAST_SLOW_RATIO)] * 4)
     return MachineModel(cores, view), Table3CostModel(b)
 

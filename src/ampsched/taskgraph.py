@@ -1,8 +1,8 @@
 """Task DAG construction for the blocked Cholesky factorization.
 
 The builder replays a sequential program, registering each task with the
-block coordinates it reads and writes (the in/out/inout directionality
-mechanism). Dependencies are derived with last-writer tracking:
+one block it writes, its (i, j), and the blocks it reads (the in/out/inout
+directionality mechanism). Dependencies are derived with last-writer tracking:
 
 * read-after-write and write-after-write: edge from the last writer of
   every accessed block;
@@ -36,12 +36,6 @@ class Task:
     i: int
     j: int
     reads: frozenset
-    writes: frozenset
-
-    @property
-    def target(self) -> tuple[int, int]:
-        (blk,) = self.writes
-        return blk
 
 
 @dataclass
@@ -68,28 +62,22 @@ class TaskGraphBuilder:
         self._last_writer: dict = {}
         self._readers: dict = {}
 
-    def register_task(self, kind: TaskKind, reads, writes,
-                      k: int = -1, i: int = -1, j: int = -1) -> int:
+    def register_task(self, kind: TaskKind, reads, write, k: int = -1) -> int:
+        """Add a task writing block write = (i, j) and reading reads; return its id."""
+        if type(write) is not tuple or [*map(type, write)] != [int, int]:
+            raise ValueError(f"a task writes one (i, j) block, not {write!r}")
         reads = frozenset(reads)
-        writes = frozenset(writes)
-        if len(writes) != 1:
-            raise ValueError("a task must write exactly one block")
         tid = len(self._tasks)
-        deps = set()
-        for blk in reads | writes:
-            w = self._last_writer.get(blk)
-            if w is not None:
-                deps.add(w)
-        for blk in writes:
-            deps.update(self._readers.get(blk, ()))
+        deps = set(self._readers.get(write, ()))
+        deps.update(map(self._last_writer.get, (*reads, write)))
+        deps.discard(None)
         for d in sorted(deps):
             self._edges.append((d, tid))
         for blk in reads:
             self._readers.setdefault(blk, []).append(tid)
-        for blk in writes:
-            self._last_writer[blk] = tid
-            self._readers[blk] = []
-        self._tasks.append(Task(tid, kind, k, i, j, reads, writes))
+        self._last_writer[write] = tid
+        self._readers[write] = []
+        self._tasks.append(Task(tid, kind, k, *write, reads))
         return tid
 
     def build(self) -> TaskGraph:
@@ -102,16 +90,14 @@ def build_cholesky_dag(s: int) -> TaskGraph:
         raise ValueError("block count must be >= 1")
     b = TaskGraphBuilder()
     for k in range(s):
-        b.register_task(TaskKind.C, reads={(k, k)}, writes={(k, k)}, k=k, i=k, j=k)
+        b.register_task(TaskKind.C, reads={(k, k)}, write=(k, k), k=k)
         for j in range(k + 1, s):
-            b.register_task(TaskKind.T, reads={(k, k), (k, j)}, writes={(k, j)},
-                            k=k, i=k, j=j)
+            b.register_task(TaskKind.T, reads={(k, k), (k, j)}, write=(k, j), k=k)
         for i in range(k + 1, s):
-            b.register_task(TaskKind.S, reads={(k, i), (i, i)}, writes={(i, i)},
-                            k=k, i=i, j=i)
+            b.register_task(TaskKind.S, reads={(k, i), (i, i)}, write=(i, i), k=k)
             for j in range(i + 1, s):
                 b.register_task(TaskKind.G, reads={(k, i), (k, j), (i, j)},
-                                writes={(i, j)}, k=k, i=i, j=j)
+                                write=(i, j), k=k)
     return b.build()
 
 
@@ -150,8 +136,7 @@ def export_dot(g: TaskGraph) -> str:
     """Render the DAG in DOT format, deterministically ordered by id."""
     lines = ["digraph tasks {"]
     for t in g.tasks:
-        i, j = t.target
-        lines.append(f'  t{t.id} [label="{t.kind.value}[{i},{j}] k={t.k}"];')
+        lines.append(f'  t{t.id} [label="{t.kind.value}[{t.i},{t.j}] k={t.k}"];')
     for p, q in sorted(g.edges):
         lines.append(f"  t{p} -> t{q};")
     lines.append("}")
@@ -169,7 +154,6 @@ def to_json(g: TaskGraph) -> str:
                 "i": t.i,
                 "j": t.j,
                 "reads": sorted(list(blk) for blk in t.reads),
-                "writes": sorted(list(blk) for blk in t.writes),
             }
             for t in g.tasks
         ],
@@ -189,13 +173,10 @@ def from_json(text: str) -> TaskGraph:
             i=int(rec["i"]),
             j=int(rec["j"]),
             reads=frozenset(tuple(blk) for blk in rec["reads"]),
-            writes=frozenset(tuple(blk) for blk in rec["writes"]),
         ) for rec in doc["tasks"]]
         edges = [(int(p), int(q)) for p, q in doc["edges"]]
     except (KeyError, TypeError) as exc:  # a missing key or a wrong type
         raise ValueError(f"malformed task graph: {exc}") from exc
-    if any(len(t.writes) != 1 for t in tasks):
-        raise ValueError("a task must write exactly one block")
     if [t.id for t in tasks] != list(range(len(tasks))):
         raise ValueError("task ids must be dense and in order")
     for p, q in edges:

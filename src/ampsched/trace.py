@@ -60,7 +60,8 @@ class Trace:
     @classmethod
     def from_json(cls, text: str) -> "Trace":
         """Parse to_json output, ignoring other keys; ValueError if malformed:
-        a key missing, or a field not of its type (kind str, all else int)."""
+        a key missing, a field not of its type (kind str, all else int), or
+        an event not within wall_start_ns <= start_ns <= end_ns <= wall_end_ns."""
         doc = json.loads(text)
         values = itemgetter(*EVENT_FIELDS)
         try:
@@ -74,6 +75,9 @@ class Trace:
         ints = chain((trace.wall_start, trace.wall_end), trace.workers, *columns)
         if set(map(type, ints)) - {int} or set(map(type, kinds)) - {str}:
             raise ValueError("malformed trace: a field has the wrong type")
+        lo, hi = trace.wall_start, trace.wall_end
+        if lo > hi or not all(lo <= e.start_ns <= e.end_ns <= hi for e in events):
+            raise ValueError("malformed trace: event times out of order")
         return trace
 
 

@@ -28,7 +28,7 @@ def random_task_graph(rng: np.random.Generator, max_nodes: int = 60,
         write = blocks[int(rng.integers(len(blocks)))]
         n_reads = int(rng.integers(0, 4))
         reads = {blocks[int(rng.integers(len(blocks)))] for _ in range(n_reads)}
-        builder.register_task(kind, reads=reads, writes={write})
+        builder.register_task(kind, reads=reads, write=write)
     return builder.build()
 
 

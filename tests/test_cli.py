@@ -224,9 +224,17 @@ class TestTraceCmd:
         '"end_ns": 5}]}',
         '{"wall_start_ns": "0", "wall_end_ns": 10, "events": []}',
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], '
-        '"workers": [[1]]}'],
+        '"workers": [[1]]}',
+        '{"wall_start_ns": 10, "wall_end_ns": 1, "events": []}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 9, '
+        '"end_ns": 5}]}',
+        '{"wall_start_ns": 0, "wall_end_ns": 1, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 0, '
+        '"end_ns": 5}]}'],
         ids=["not-json", "list", "null", "non-object-event", "str-start",
-             "str-wall-start", "list-worker"])
+             "str-wall-start", "list-worker", "wall-end-before-start",
+             "event-end-before-start", "event-after-wall-end"])
     def test_unreadable_trace_fails_cleanly(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -235,6 +243,26 @@ class TestTraceCmd:
         assert rc == 1
         assert "error: cannot read trace" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--config", "{missing}/b.cfg", "--n", "8", "--b", "4"],
+    ["dag", "--s", "3", "--dot", "{missing}/x.dot"],
+    ["simulate", "--n", "8", "--b", "4", "--csv", "{missing}/x.csv"],
+    ["simulate", "--n", "8", "--b", "4", "--trace", "{missing}/t.json"],
+    ["trace", "--in", "{trace}", "--summary", "{missing}/s.csv"]],
+    ids=["bench-config", "dag-dot", "simulate-csv", "simulate-trace",
+         "trace-summary"])
+def test_bad_path_fails_cleanly(tmp_path, capsys, argv):
+    trace = tmp_path / "t.json"
+    cli.main(["simulate", "--n", "8", "--b", "4", "--csv",
+              str(tmp_path / "s.csv"), "--trace", str(trace)])
+    capsys.readouterr()
+    paths = {"missing": tmp_path / "no-such-dir", "trace": trace}
+    rc = cli.main([arg.format(**paths) for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
 
 
 def test_readme_cli_examples_parse():

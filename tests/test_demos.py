@@ -1,12 +1,16 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's quick start, runs to completion
+against the package in src/."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_with_timeout
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,6 +32,14 @@ def test_demo_exits_cleanly(script, tmp_path):
     out = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_quick_start_runs():
+    # The README's only python block, executed as written; its own assert
+    # checks the factor's residual.
+    readme = (ROOT / "README.md").read_text()
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    run_with_timeout(lambda: exec(code, {}), timeout=60)
 
 
 class TestCrossoverProbe:

@@ -22,7 +22,7 @@ from conftest import FixedCostModel, check_trace_legality, random_task_graph
 def chain_graph(length):
     b = TaskGraphBuilder()
     for _ in range(length):
-        b.register_task(TaskKind.G, reads={(0, 0)}, writes={(0, 0)})
+        b.register_task(TaskKind.G, reads={(0, 0)}, write=(0, 0))
     return b.build()
 
 
@@ -120,7 +120,7 @@ class TestPreset:
     def test_unknown_view(self):
         with pytest.raises(ValueError):
             preset_exynos5422("weird")
-        # The preset checks the view first; the model checks it on its own.
+        # The model checks its view when built, the preset's model included.
         with pytest.raises(ValueError, match="unknown machine view"):
             MachineModel(((FAST, 1.0),), "weird").resources()
 
@@ -177,7 +177,7 @@ class TestSimulate:
         # 6 independent unit tasks on 3 equal resources: two waves.
         b = TaskGraphBuilder()
         for i in range(6):
-            b.register_task(TaskKind.G, reads=set(), writes={(i, 0)})
+            b.register_task(TaskKind.G, reads=set(), write=(i, 0))
         g = b.build()
         machine = MachineModel(((FAST, 1.0),) * 3)
         res = simulate(g, machine, FixedCostModel({FAST: 7}),

@@ -17,16 +17,18 @@ from conftest import random_task_graph
 
 def pairwise_dependence_oracle(g: TaskGraph) -> set:
     """Independent edge oracle: p -> q iff they conflict on some block and
-    no task strictly between them writes that block."""
+    no task strictly between them writes that block. A task writes the
+    one block (i, j)."""
+    writes = [{(t.i, t.j)} for t in g.tasks]
     edges = set()
     for q in g.tasks:
         for p in g.tasks[:q.id]:
-            for blk in (p.writes | p.reads) & (q.writes | q.reads):
-                raw_waw = blk in p.writes and blk in (q.reads | q.writes)
-                war = blk in p.reads and blk in q.writes
+            for blk in (writes[p.id] | p.reads) & (writes[q.id] | q.reads):
+                raw_waw = blk in writes[p.id] and blk in (q.reads | writes[q.id])
+                war = blk in p.reads and blk in writes[q.id]
                 if not (raw_waw or war):
                     continue
-                if any(blk in r.writes for r in g.tasks[p.id + 1:q.id]):
+                if any(blk in writes[r] for r in range(p.id + 1, q.id)):
                     continue
                 edges.add((p.id, q.id))
     return edges
@@ -80,9 +82,9 @@ class TestCholeskyDag:
 class TestBuilder:
     def test_raw_waw_war(self):
         b = TaskGraphBuilder()
-        w1 = b.register_task(TaskKind.C, reads=set(), writes={(0, 0)})
-        r1 = b.register_task(TaskKind.T, reads={(0, 0)}, writes={(0, 1)})
-        w2 = b.register_task(TaskKind.S, reads=set(), writes={(0, 0)})
+        w1 = b.register_task(TaskKind.C, reads=set(), write=(0, 0))
+        r1 = b.register_task(TaskKind.T, reads={(0, 0)}, write=(0, 1))
+        w2 = b.register_task(TaskKind.S, reads=set(), write=(0, 0))
         g = b.build()
         assert (w1, r1) in g.edges       # read after write
         assert (w1, w2) in g.edges       # write after write
@@ -90,18 +92,17 @@ class TestBuilder:
 
     def test_no_self_or_duplicate_edges(self):
         b = TaskGraphBuilder()
-        b.register_task(TaskKind.C, reads={(0, 0)}, writes={(0, 0)})
-        b.register_task(TaskKind.C, reads={(0, 0)}, writes={(0, 0)})
+        b.register_task(TaskKind.C, reads={(0, 0)}, write=(0, 0))
+        b.register_task(TaskKind.C, reads={(0, 0)}, write=(0, 0))
         g = b.build()
         assert g.edges == [(0, 1)]
 
     def test_requires_exactly_one_write(self):
         b = TaskGraphBuilder()
-        with pytest.raises(ValueError):
-            b.register_task(TaskKind.G, reads=set(), writes=set())
-        with pytest.raises(ValueError):
-            b.register_task(TaskKind.G, reads=set(),
-                            writes={(0, 0), (1, 1)})
+        for write in (set(), {(0, 0)}, ((0, 0), (1, 1)), (0, 0, 1)):
+            with pytest.raises(ValueError):
+                b.register_task(TaskKind.G, reads=set(), write=write)
+        assert b.build().tasks == []
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -147,12 +148,18 @@ class TestExport:
     def test_json_roundtrip(self):
         g = build_cholesky_dag(5)
         g2 = from_json(to_json(g))
-        assert [(t.id, t.kind, t.k, t.i, t.j, t.reads, t.writes)
-                for t in g2.tasks] == \
-               [(t.id, t.kind, t.k, t.i, t.j, t.reads, t.writes)
-                for t in g.tasks]
+        assert g2.tasks == g.tasks
         assert g2.edges == g.edges
         assert g2.indegree == g.indegree
+        # Earlier files also listed each task's written block as "writes";
+        # they still parse, the key ignored, since (i, j) is that block.
+        doc = json.loads(to_json(g))
+        assert "writes" not in doc["tasks"][0]
+        for rec in doc["tasks"]:
+            rec["writes"] = [[rec["i"], rec["j"]]]
+        g3 = from_json(json.dumps(doc))
+        assert g3.tasks == g.tasks
+        assert g3.edges == g.edges
 
     def test_json_validation(self):
         g = build_cholesky_dag(2)
@@ -164,19 +171,14 @@ class TestExport:
         doc["tasks"][0]["id"] = 7
         with pytest.raises(ValueError):
             from_json(json.dumps(doc))
-        # missing keys, wrong types, and a task writing two blocks or none
+        # missing keys, wrong types, and a written block without its j
         no_kind = json.loads(to_json(g))
         del no_kind["tasks"][1]["kind"]
-        two_writes = json.loads(to_json(g))
-        two_writes["tasks"][0]["writes"].append([1, 1])
-        no_writes = json.loads(to_json(g))
-        no_writes["tasks"][0]["writes"] = []
+        no_j = json.loads(to_json(g))
+        del no_j["tasks"][0]["j"]
+        list_j = json.loads(to_json(g))
+        list_j["tasks"][0]["j"] = [1]
         for bad in ({}, [], {"tasks": []}, {"tasks": 3, "edges": []},
-                    no_kind, two_writes, no_writes):
+                    no_kind, no_j, list_j):
             with pytest.raises(ValueError):
                 from_json(json.dumps(bad))
-
-    def test_target_property(self):
-        g = build_cholesky_dag(4)
-        for t in g.tasks:
-            assert t.target == (t.i, t.j)

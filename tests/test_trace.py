@@ -71,7 +71,18 @@ class TestJson:
         '"end_ns": 5}]}',
         '{"wall_start_ns": "0", "wall_end_ns": 10, "events": []}',
         '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [], '
-        '"workers": [[1]]}'])
+        '"workers": [[1]]}',
+        # times out of order: the wall span, or an event within it
+        '{"wall_start_ns": 10, "wall_end_ns": 5, "events": []}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 5, '
+        '"end_ns": 1}]}',
+        '{"wall_start_ns": 2, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 1, '
+        '"end_ns": 5}]}',
+        '{"wall_start_ns": 0, "wall_end_ns": 10, "events": [{"worker": 0, '
+        '"task": 0, "kind": "C", "k": 0, "i": 0, "j": 0, "start_ns": 5, '
+        '"end_ns": 11}]}'])
     def test_wrong_shape_raises_value_error(self, text):
         with pytest.raises(ValueError):
             Trace.from_json(text)
