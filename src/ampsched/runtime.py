@@ -277,7 +277,7 @@ def default_priority_cost(b: int) -> Callable[[Task], float]:
     at block size b orders its ready tasks as the simulated one does.
     """
     fast = table3_ns(b)[FAST]
-    return lambda t: float(fast[t.kind])
+    return lambda t: fast[t.kind]
 
 
 def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,

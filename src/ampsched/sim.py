@@ -166,7 +166,7 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
     fast = cache(lambda: fastest_ns(
         g, [r for r in resources if r.kind == FAST], cost))
     core = SchedulerCore(g, policy, {r.id: r.kind for r in resources},
-                         lambda t: float(fast()[t.kind]))
+                         lambda t: fast()[t.kind])
 
     running: list[tuple[int, int, int, int]] = []  # (finish, rid, tid, start)
     now = 0

@@ -10,14 +10,19 @@ directionality mechanism). Dependencies are derived with last-writer tracking:
 
 The edge set is kept unreduced; scheduling only needs a superset of the
 true constraints and the unreduced relation is what the pairwise oracle
-in the test suite reproduces.
+in the test suite reproduces. Builds pause the cyclic garbage collector;
+from_json rebuilds the graph and checks the document's edges against it.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable
 
 
@@ -26,6 +31,26 @@ class TaskKind(str, Enum):
     T = "T"  # tr_solve: triangular solve of a panel block
     G = "G"  # ge_multiply: matrix-multiply trailing update
     S = "S"  # sy_update: symmetric rank-b update of a diagonal block
+
+
+def _collector_paused(build):
+    """Run build with Python's cyclic garbage collector paused.
+
+    A build allocates about ten tracked containers per task, which every
+    gen-0 collection would rescan, with any older graph. It makes no
+    reference cycles and refcounting frees its temporaries, so pausing
+    loses nothing. The state is process-wide (no thread collects while a
+    build runs) and is restored afterwards, also on error."""
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
 
 @dataclass
@@ -60,7 +85,7 @@ class TaskGraphBuilder:
         self._tasks: list[Task] = []
         self._edges: list[tuple[int, int]] = []
         self._last_writer: dict = {}
-        self._readers: dict = {}
+        self._readers: defaultdict = defaultdict(list)  # since the last write
 
     def register_task(self, kind: TaskKind, reads, write, k: int = -1) -> int:
         """Add a task writing block write = (i, j) and reading reads; return its id."""
@@ -68,15 +93,16 @@ class TaskGraphBuilder:
             raise ValueError(f"a task writes one (i, j) block, not {write!r}")
         reads = frozenset(reads)
         tid = len(self._tasks)
-        deps = set(self._readers.get(write, ()))
-        deps.update(map(self._last_writer.get, (*reads, write)))
-        deps.discard(None)
-        for d in sorted(deps):
-            self._edges.append((d, tid))
+        last, readers = self._last_writer, self._readers
+        deps = set(readers.get(write, ()))  # write after read
+        deps.add(last.get(write))
         for blk in reads:
-            self._readers.setdefault(blk, []).append(tid)
-        self._last_writer[write] = tid
-        self._readers[write] = []
+            deps.add(last.get(blk))
+            readers[blk].append(tid)
+        deps.discard(None)
+        self._edges += [(d, tid) for d in sorted(deps)]
+        last[write] = tid
+        readers[write] = []
         self._tasks.append(Task(tid, kind, k, *write, reads))
         return tid
 
@@ -84,6 +110,7 @@ class TaskGraphBuilder:
         return TaskGraph(self._tasks, self._edges)
 
 
+@_collector_paused
 def build_cholesky_dag(s: int) -> TaskGraph:
     """Replay the right-looking blocked Cholesky loop nest for s block rows."""
     if s < 1:
@@ -117,12 +144,13 @@ def bottom_levels(g: TaskGraph, cost: Callable[[Task], float]) -> list[float]:
     """Longest-path-to-sink priority of every task, inclusive of itself.
 
     Task ids are a topological order by construction (edges go from lower
-    to higher id), so a single reverse sweep suffices.
+    to higher id), so one reverse sweep, one cost(t) call per task, suffices.
     """
-    bl = [0.0] * len(g.tasks)
-    for t in reversed(g.tasks):
-        succ_max = max((bl[q] for q in g.successors[t.id]), default=0.0)
-        bl[t.id] = cost(t) + succ_max
+    bl = list(map(float, map(cost, g.tasks)))
+    get = bl.__getitem__
+    for tid, succ in zip(range(len(bl) - 1, -1, -1), reversed(g.successors)):
+        if succ:
+            bl[tid] += max(map(get, succ))
     return bl
 
 
@@ -134,52 +162,41 @@ def critical_path(g: TaskGraph, cost: Callable[[Task], float]) -> float:
 
 def export_dot(g: TaskGraph) -> str:
     """Render the DAG in DOT format, deterministically ordered by id."""
-    lines = ["digraph tasks {"]
-    for t in g.tasks:
-        lines.append(f'  t{t.id} [label="{t.kind.value}[{t.i},{t.j}] k={t.k}"];')
-    for p, q in sorted(g.edges):
-        lines.append(f"  t{p} -> t{q};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f'  t{t.id} [label="{t.kind.value}[{t.i},{t.j}] k={t.k}"];'
+             for t in g.tasks]
+    edges = [f"  t{p} -> t{q};" for p, q in sorted(g.edges)]
+    return "\n".join(["digraph tasks {", *nodes, *edges, "}"]) + "\n"
 
 
 def to_json(g: TaskGraph) -> str:
     """Serialize tasks and edges for standalone simulator ingestion."""
-    doc = {
-        "tasks": [
-            {
-                "id": t.id,
-                "kind": t.kind.value,
-                "k": t.k,
-                "i": t.i,
-                "j": t.j,
-                "reads": sorted(list(blk) for blk in t.reads),
-            }
-            for t in g.tasks
-        ],
-        "edges": [list(e) for e in g.edges],
-    }
+    doc = {"tasks": [{"id": t.id, "kind": t.kind.value, "k": t.k, "i": t.i,
+                      "j": t.j, "reads": sorted(map(list, t.reads))}
+                     for t in g.tasks],
+           "edges": [list(e) for e in g.edges]}
     return json.dumps(doc, indent=1)
 
 
+@_collector_paused
 def from_json(text: str) -> TaskGraph:
-    """Parse to_json output; ValueError if malformed."""
+    """Rebuild to_json output from its tasks' kind, reads, (i, j) and k.
+
+    ValueError unless ids count up from 0, ids, k, i, j and read
+    coordinates are ints, and the edges are those of the rebuilt graph."""
     doc = json.loads(text)
+    b = TaskGraphBuilder()
     try:
-        tasks = [Task(
-            id=int(rec["id"]),
-            kind=TaskKind(rec["kind"]),
-            k=int(rec["k"]),
-            i=int(rec["i"]),
-            j=int(rec["j"]),
-            reads=frozenset(tuple(blk) for blk in rec["reads"]),
-        ) for rec in doc["tasks"]]
-        edges = [(int(p), int(q)) for p, q in doc["edges"]]
-    except (KeyError, TypeError) as exc:  # a missing key or a wrong type
+        for tid, rec in enumerate(doc["tasks"]):
+            reads = [(r, c) for r, c in rec["reads"]]
+            ints = [rec["id"], rec["k"], *chain(*reads)]  # register checks i, j
+            if rec["id"] != tid or any(type(v) is not int for v in ints):
+                raise ValueError(f"malformed task {tid}: {rec!r}")
+            b.register_task(TaskKind(rec["kind"]), reads, (rec["i"], rec["j"]),
+                            rec["k"])
+        edges = [tuple(e) for e in doc["edges"]]
+    except (KeyError, TypeError, ValueError) as exc:  # e.g. a read not a pair
         raise ValueError(f"malformed task graph: {exc}") from exc
-    if [t.id for t in tasks] != list(range(len(tasks))):
-        raise ValueError("task ids must be dense and in order")
-    for p, q in edges:
-        if not 0 <= p < q < len(tasks):
-            raise ValueError(f"edge ({p}, {q}) violates sequential order")
-    return TaskGraph(tasks, edges)
+    g = b.build()
+    if edges != g.edges:
+        raise ValueError("the edges differ from those the tasks imply")
+    return g

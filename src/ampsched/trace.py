@@ -12,7 +12,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .taskgraph import Task
+from .taskgraph import Task, TaskKind
 
 
 class TraceEvent(NamedTuple):
@@ -42,11 +42,11 @@ class Trace:
                 wall_end: int, workers: list[int]) -> "Trace":
         """A trace of (worker, task id, start_ns, end_ns) records over tasks,
         one event per record in the canonical (start_ns, worker) order."""
-        events = []
-        for w, tid, start, end in sorted(records, key=itemgetter(2, 0)):
-            t = tasks[tid]
-            events.append(TraceEvent(w, tid, t.kind.value, t.k, t.i, t.j,
-                                     start, end))
+        kind = {k: k.value for k in TaskKind}
+        new = tuple.__new__  # not TraceEvent's Python-level __new__
+        events = [new(TraceEvent, (w, tid, kind[t.kind], t.k, t.i, t.j, start, end))
+                  for w, tid, start, end in sorted(records, key=itemgetter(2, 0))
+                  for t in (tasks[tid],)]
         return cls(events, wall_start, wall_end, workers)
 
     def to_json(self) -> str:

@@ -1,5 +1,7 @@
 """DAG construction, dependency tracking and graph analyses."""
 
+import gc
+import hashlib
 import json
 
 import numpy as np
@@ -71,6 +73,14 @@ class TestCholeskyDag:
             indeg[q] += 1
         assert indeg == g.indegree
         assert g.indegree[0] == 0  # the first factorization task is a source
+
+    def test_s40_edge_list_anchor(self):
+        # Successor order sets the FIFO enable order, so the edge list is
+        # pinned order included, not only as a set.
+        edges = build_cholesky_dag(40).edges
+        assert len(edges) == 31_980
+        assert hashlib.sha1(repr(edges).encode()).hexdigest() == \
+            "7f78308edf277a114ffaa80d5757b538ce8acbd9"
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
@@ -182,3 +192,61 @@ class TestExport:
                     no_kind, no_j, list_j):
             with pytest.raises(ValueError):
                 from_json(json.dumps(bad))
+        # dropped dependencies, a non-int coordinate and a non-pair read
+        no_edges = json.loads(to_json(build_cholesky_dag(3)))
+        assert len(no_edges["edges"]) == 12
+        no_edges["edges"] = []
+        float_j = json.loads(to_json(g))
+        float_j["tasks"][1]["j"] = 1.5
+        str_read = json.loads(to_json(g))
+        str_read["tasks"][1]["reads"] = [["a"]]
+        for bad in (no_edges, float_j, str_read):
+            with pytest.raises(ValueError):
+                from_json(json.dumps(bad))
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's on/off state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    def test_build_runs_no_collection(self, collector_state):
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            build_cholesky_dag(12)
+            during = len(starts)  # read before anything new is allocated
+        finally:
+            gc.callbacks.remove(hook)
+        assert during == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, collector_state, enabled):
+        (gc.enable if enabled else gc.disable)()
+        build_cholesky_dag(s=3)
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            build_cholesky_dag(0)
+        assert gc.isenabled() == enabled
+        from_json(to_json(build_cholesky_dag(2)))
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError):
+            from_json('{"tasks": [{"id": 1}], "edges": []}')
+        assert gc.isenabled() == enabled
+
+    def test_build_leaves_no_cycles(self, collector_state):
+        gc.collect()
+        gc.disable()
+        g = build_cholesky_dag(8)
+        del g
+        assert gc.collect() == 0
