@@ -12,10 +12,9 @@ from .dense import (BlockedMatrix, NotPositiveDefiniteError,
 from .kernels import (gemm_asym, gemm_blocked, syrk_asym, syrk_blocked,
                       trsm_asym, trsm_blocked)
 from .runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY, Policy,
-                      WorkerDescriptor, gflops, make_workers, run)
-from .sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
-                  SimResult, Table3CostModel, lower_bounds, preset_exynos5422,
-                  simulate)
+                      Resource, Table3CostModel, gflops, make_workers, run)
+from .sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, SimResult,
+                  lower_bounds, preset_exynos5422, simulate)
 from .taskgraph import (Task, TaskGraph, TaskGraphBuilder, TaskKind,
                         bottom_levels, build_cholesky_dag, critical_path,
                         export_dot, task_counts)

@@ -11,13 +11,14 @@ Three scheduling policies are supported:
 The dispatch protocol lives in one deterministic core, SchedulerCore:
 the indegree counters (the last completing predecessor enables a
 successor), the completion count that orders enable events, the two-heap
-ReadyPool, the rule that matches a policy to the workers' resource
-kinds, the idle fast-worker count that CATS stealing reads, the stall
-error (STALLED) and one (worker, task, start, end) record per completed
-task. run() drives it from worker threads under one condition variable;
-the simulator in :mod:`ampsched.sim` drives the same core from its event
-loop, so both reach every decision through SchedulerCore.select. Each VC
-worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
+ReadyPool with its CATS ranks from a cost model, the rule that matches a
+policy to the workers' kinds (one Resource record per worker), the idle
+fast-worker count that CATS stealing reads, the stall error (STALLED)
+and one (worker, task, start, end) record per completed task. run()
+drives it from worker threads under one condition variable; the
+simulator in :mod:`ampsched.sim` drives the same core from its event
+loop, so both reach every decision through SchedulerCore.select. Each
+VC worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
 executor) for the whole run, and numpy's and scipy's OpenBLAS pools are
 held at one thread while the workers run. A failure in any worker stops
 all workers and is re-raised by run() with the partial trace attached.
@@ -79,9 +80,41 @@ def table3_ns(b: int) -> dict[str, dict[TaskKind, int]]:
 
 
 @dataclass(frozen=True)
-class WorkerDescriptor:
+class Resource:
+    """A worker of run() or a resource of the simulated machine."""
+
     id: int
-    resource: str  # FAST, SLOW or VC
+    kind: str  # FAST, SLOW or VC
+    speed: float = 1.0  # read by speed-based cost models only
+
+    def __post_init__(self):
+        if self.speed <= 0:
+            raise ValueError("resource speed must be positive")
+
+
+class Table3CostModel:
+    """Durations from the measured per-kind, per-resource means
+    (table3_ns at block size b)."""
+
+    def __init__(self, b: int = TABLE3_BLOCK):
+        self.b = b
+        self.table = table3_ns(b)
+
+    def duration_ns(self, task: Task, resource: Resource) -> int:
+        return self.table[resource.kind][task.kind]
+
+
+def fastest_ns(g: TaskGraph, resources: list[Resource],
+               cost) -> dict[TaskKind, int]:
+    """Each task kind of g mapped to its duration on its fastest resource.
+
+    Relies on the cost-model contract: a task is priced by its kind and
+    the resource alone, so one task of each kind stands for all of them
+    and each (kind, resource) pair is probed once.
+    """
+    sample = {t.kind: t for t in g.tasks}
+    return {kind: min(cost.duration_ns(t, r) for r in resources)
+            for kind, t in sample.items()}
 
 
 @dataclass(frozen=True)
@@ -186,17 +219,19 @@ class SchedulerCore:
     Deterministic and not thread-safe: run() calls it under its condition
     variable, simulate() from its event loop.
 
-    workers maps each worker id, all idle at first, to its resource kind.
-    ValueError unless the policy suits those kinds: the VC policy iff
-    every kind is VC (VC pairs, the VC machine view), oblivious and CATS
-    on fast/slow lanes only, and CATS with at least one fast lane. CATS
-    ranks tasks by bottom levels over priority_cost, without which the
-    ReadyPool raises ValueError.
+    workers are the resources, all idle at first; the core keeps their
+    id -> kind map. ValueError unless the policy suits those kinds: the
+    VC policy iff every kind is VC (VC pairs, the VC machine view),
+    oblivious and CATS on fast/slow lanes only, and CATS with at least
+    one fast lane. CATS ranks tasks by bottom levels over each kind's
+    duration on the fastest fast worker under the cost model (a
+    duration_ns(task, resource) object), without which the ReadyPool
+    raises ValueError.
     """
 
-    def __init__(self, g: TaskGraph, policy: Policy, workers: dict[int, str],
-                 priority_cost: Optional[Callable[[Task], float]] = None):
-        kinds = set(workers.values())
+    def __init__(self, g: TaskGraph, policy: Policy, workers: list[Resource],
+                 cost=None):
+        kinds = {w.kind for w in workers}
         if (policy.kind == VC_POLICY) != (kinds == {VC}):
             raise ValueError("VC policy requires the VC machine view and vice versa")
         if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
@@ -204,15 +239,16 @@ class SchedulerCore:
         if policy.kind == CATS and FAST not in kinds:
             raise ValueError("CATS requires at least one fast worker")
         self.g = g
-        self.workers = workers
+        self.workers = {w.id: w.kind for w in workers}
         priorities = None
-        if policy.kind == CATS and priority_cost is not None:
-            priorities = bottom_levels(g, priority_cost)
+        if policy.kind == CATS and cost is not None:
+            fast = fastest_ns(g, [w for w in workers if w.kind == FAST], cost)
+            priorities = bottom_levels(g, lambda t: fast[t.kind])
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
         self.completed = 0
         self.busy: set[int] = set()
-        self.idle_fast = sum(k == FAST for k in workers.values())
+        self.idle_fast = sum(w.kind == FAST for w in workers)
         self.records: list[tuple[int, int, int, int]] = []
         for tid, deg in enumerate(self.indegree):
             if deg == 0:
@@ -259,30 +295,30 @@ class SchedulerCore:
                              list(self.workers))
 
 
-def make_workers(policy_kind: str, count: int) -> list[WorkerDescriptor]:
+def make_workers(policy_kind: str, count: int) -> list[Resource]:
     """Conventional worker set: VC pairs, or half fast / half slow lanes."""
     if count < 1:
         raise ValueError("worker count must be >= 1")
     if policy_kind == VC_POLICY:
-        return [WorkerDescriptor(i, VC) for i in range(count)]
+        return [Resource(i, VC) for i in range(count)]
     nfast = (count + 1) // 2
-    return [WorkerDescriptor(i, FAST if i < nfast else SLOW)
-            for i in range(count)]
+    return [Resource(i, FAST if i < nfast else SLOW) for i in range(count)]
 
 
 def default_priority_cost(b: int) -> Callable[[Task], float]:
-    """Fast-core Table-3 ns used for CATS bottom levels.
+    """Fast-core Table-3 ns per task, the cost CATS ranks tasks by at b.
 
-    The same integers the simulator ranks CATS tasks by, so a native run
-    at block size b orders its ready tasks as the simulated one does.
+    Kept only for perfbench, which times bottom levels over it; run()
+    and simulate() reach the same integers through Table3CostModel(b)
+    and SchedulerCore.
     """
     fast = table3_ns(b)[FAST]
     return lambda t: fast[t.kind]
 
 
 def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
-        workers: list[WorkerDescriptor],
-        task_hook: Optional[Callable[[Task, WorkerDescriptor], None]] = None,
+        workers: list[Resource],
+        task_hook: Optional[Callable[[Task, Resource], None]] = None,
         ) -> tuple[BlockedMatrix, Trace]:
     """Execute every task of g exactly once over bm's blocks.
 
@@ -300,19 +336,18 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     if len(g.tasks) != sum(task_counts(bm.s).values()):
         raise ValueError(f"a {len(g.tasks)}-task graph does not match the "
                          f"{bm.s}x{bm.s} block grid of the matrix")
-    core = SchedulerCore(g, policy, {w.id: w.resource for w in workers},
-                         default_priority_cost(bm.b))
+    core = SchedulerCore(g, policy, workers, Table3CostModel(bm.b))
     cond = threading.Condition(threading.Lock())
     state = {"error": None}
 
-    def body(task: Task, worker: WorkerDescriptor) -> None:
+    def body(task: Task, worker: Resource) -> None:
         blk = bm.blocks
         k, i, j = task.k, task.i, task.j
         if task_hook is not None:
             task_hook(task, worker)
         # VC pairs split each call across both lanes; lane workers run
         # the sequential kernel.
-        vc = worker.resource == VC
+        vc = worker.kind == VC
         if task.kind == TaskKind.C:
             try:
                 blk[k][k] = dense.ref_potrf(blk[k][k])
@@ -331,7 +366,7 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
             gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
             gemm(blk[k][i], blk[k][j], blk[i][j])
 
-    def next_task(worker: WorkerDescriptor) -> Optional[int]:
+    def next_task(worker: Resource) -> Optional[int]:
         # Called under cond; None means stop. The core counts the worker idle
         # from its completion until select succeeds: while it waits here.
         while state["error"] is None and not core.done:
@@ -341,10 +376,10 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
             cond.wait()
         return None
 
-    def worker_loop(worker: WorkerDescriptor) -> None:
+    def worker_loop(worker: Resource) -> None:
         # A VC worker keeps one slow-lane thread for the whole run; the
         # pair is joined when the loop ends, failed or not.
-        lane_scope = (kernels.lane_pair() if worker.resource == VC
+        lane_scope = (kernels.lane_pair() if worker.kind == VC
                       else contextlib.nullcontext())
         try:
             with lane_scope:

@@ -12,35 +12,25 @@ give bitwise identical results, recorded as the same Trace
 (:mod:`ampsched.trace`) that a native run gives.
 
 A cost model is any object with ``duration_ns(task, resource)``, and it
-prices a task by its kind and the resource alone. So CATS priorities and
-the lower bounds probe it once per (task kind, resource) pair
-(fastest_ns), while the event loop asks it once per dispatched task.
+prices a task by its kind and the resource alone. So the core, ranking
+CATS tasks, and the lower bounds probe it once per (task kind, resource)
+pair (runtime.fastest_ns), while the event loop asks it once per
+dispatched task. Resources, the Table 3 cost model and fastest_ns are
+the runtime's own, re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cache
 
 from .runtime import (FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, Policy,
-                      SchedulerCore, table3_ns)
+                      Resource, SchedulerCore, Table3CostModel, fastest_ns)
 from .taskgraph import Task, TaskGraph, TaskKind, critical_path
 from .trace import Trace, idle_stats
 
 GTS = "gts"
 VC_VIEW = "vc"
-
-
-@dataclass(frozen=True)
-class Resource:
-    id: int
-    kind: str  # FAST, SLOW or VC
-    speed: float
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError("resource speed must be positive")
 
 
 @dataclass(frozen=True)
@@ -88,18 +78,6 @@ def task_flops(kind: TaskKind, b: int) -> float:
     return float(b ** 3)  # T and S
 
 
-class Table3CostModel:
-    """Durations from the measured per-kind, per-resource means
-    (runtime.table3_ns at block size b)."""
-
-    def __init__(self, b: int = TABLE3_BLOCK):
-        self.b = b
-        self.table = table3_ns(b)
-
-    def duration_ns(self, task: Task, resource: Resource) -> int:
-        return self.table[resource.kind][task.kind]
-
-
 class FlopsCostModel:
     """duration = task flops / (resource speed * base rate)."""
 
@@ -112,19 +90,6 @@ class FlopsCostModel:
     def duration_ns(self, task: Task, resource: Resource) -> int:
         seconds = task_flops(task.kind, self.b) / (resource.speed * self.base)
         return max(1, int(round(seconds * 1e9)))
-
-
-def fastest_ns(g: TaskGraph, resources: list[Resource],
-               cost) -> dict[TaskKind, int]:
-    """Each task kind of g mapped to its duration on its fastest resource.
-
-    Relies on the cost-model contract: a task is priced by its kind and
-    the resource alone, so one task of each kind stands for all of them
-    and each (kind, resource) pair is probed once.
-    """
-    sample = {t.kind: t for t in g.tasks}
-    return {kind: min(cost.duration_ns(t, r) for r in resources)
-            for kind, t in sample.items()}
 
 
 def preset_exynos5422(view: str = GTS, b: int = TABLE3_BLOCK,
@@ -161,12 +126,7 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
     resources = machine.resources()
-    # Only CATS ranks tasks, by fast-resource durations, probed once the
-    # core has checked the resource kinds.
-    fast = cache(lambda: fastest_ns(
-        g, [r for r in resources if r.kind == FAST], cost))
-    core = SchedulerCore(g, policy, {r.id: r.kind for r in resources},
-                         lambda t: fast()[t.kind])
+    core = SchedulerCore(g, policy, resources, cost)
 
     running: list[tuple[int, int, int, int]] = []  # (finish, rid, tid, start)
     now = 0

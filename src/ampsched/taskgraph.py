@@ -10,8 +10,7 @@ directionality mechanism). Dependencies are derived with last-writer tracking:
 
 The edge set is kept unreduced; scheduling only needs a superset of the
 true constraints and the unreduced relation is what the pairwise oracle
-in the test suite reproduces. Builds pause the cyclic garbage collector;
-from_json rebuilds the graph and checks the document's edges against it.
+in the test suite reproduces. Builds pause the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from typing import Callable
 
 
@@ -169,34 +167,9 @@ def export_dot(g: TaskGraph) -> str:
 
 
 def to_json(g: TaskGraph) -> str:
-    """Serialize tasks and edges for standalone simulator ingestion."""
+    """Tasks and edges as a JSON document, an export like export_dot."""
     doc = {"tasks": [{"id": t.id, "kind": t.kind.value, "k": t.k, "i": t.i,
                       "j": t.j, "reads": sorted(map(list, t.reads))}
                      for t in g.tasks],
            "edges": [list(e) for e in g.edges]}
     return json.dumps(doc, indent=1)
-
-
-@_collector_paused
-def from_json(text: str) -> TaskGraph:
-    """Rebuild to_json output from its tasks' kind, reads, (i, j) and k.
-
-    ValueError unless ids count up from 0, ids, k, i, j and read
-    coordinates are ints, and the edges are those of the rebuilt graph."""
-    doc = json.loads(text)
-    b = TaskGraphBuilder()
-    try:
-        for tid, rec in enumerate(doc["tasks"]):
-            reads = [(r, c) for r, c in rec["reads"]]
-            ints = [rec["id"], rec["k"], *chain(*reads)]  # register checks i, j
-            if rec["id"] != tid or any(type(v) is not int for v in ints):
-                raise ValueError(f"malformed task {tid}: {rec!r}")
-            b.register_task(TaskKind(rec["kind"]), reads, (rec["i"], rec["j"]),
-                            rec["k"])
-        edges = [tuple(e) for e in doc["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:  # e.g. a read not a pair
-        raise ValueError(f"malformed task graph: {exc}") from exc
-    g = b.build()
-    if edges != g.edges:
-        raise ValueError("the edges differ from those the tasks imply")
-    return g

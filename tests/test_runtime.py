@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from ampsched import dense, kernels, runtime
 from ampsched.dense import BlockedMatrix, NotPositiveDefiniteError
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
-                              Policy, ReadyPool, SchedulerCore, Trace,
-                              TraceEvent, WorkerDescriptor, gflops,
+                              Policy, ReadyPool, Resource, SchedulerCore,
+                              Table3CostModel, Trace, TraceEvent, gflops,
                               make_workers, run)
 from ampsched.taskgraph import build_cholesky_dag
 from conftest import (check_trace_legality, count_lane_pairs, meet_first,
@@ -50,11 +50,11 @@ class TestPolicyValidation:
         g = build_cholesky_dag(2)
         bm = BlockedMatrix.from_matrix(dense.make_spd(4, 1), 2)
         with pytest.raises(ValueError):
-            run(g, bm, Policy(VC_POLICY), [WorkerDescriptor(0, FAST)])
+            run(g, bm, Policy(VC_POLICY), [Resource(0, FAST)])
         with pytest.raises(ValueError):
-            run(g, bm, Policy(OBLIVIOUS), [WorkerDescriptor(0, VC)])
+            run(g, bm, Policy(OBLIVIOUS), [Resource(0, VC)])
         with pytest.raises(ValueError):
-            run(g, bm, Policy(CATS), [WorkerDescriptor(0, SLOW)])
+            run(g, bm, Policy(CATS), [Resource(0, SLOW)])
         with pytest.raises(ValueError):
             run(g, bm, Policy(OBLIVIOUS), [])
 
@@ -63,7 +63,7 @@ class TestPolicyValidation:
         bm = BlockedMatrix.from_matrix(dense.make_spd(4, 1), 2)
         with pytest.raises(ValueError, match="distinct"):
             run(g, bm, Policy(OBLIVIOUS),
-                [WorkerDescriptor(0, FAST), WorkerDescriptor(0, SLOW)])
+                [Resource(0, FAST), Resource(0, SLOW)])
 
     def test_graph_must_match_block_grid(self, monkeypatch):
         # A 2-block DAG on a 3x3 grid factored part of the matrix (residual
@@ -82,12 +82,12 @@ class TestPolicyValidation:
 class TestMakeWorkers:
     def test_vc_pairs(self):
         ws = make_workers(VC_POLICY, 3)
-        assert [w.resource for w in ws] == [VC, VC, VC]
+        assert [w.kind for w in ws] == [VC, VC, VC]
 
     @pytest.mark.parametrize("count,nfast", [(1, 1), (2, 1), (4, 2), (8, 4)])
     def test_half_fast_half_slow(self, count, nfast):
         ws = make_workers(OBLIVIOUS, count)
-        assert sum(w.resource == FAST for w in ws) == nfast
+        assert sum(w.kind == FAST for w in ws) == nfast
         assert [w.id for w in ws] == list(range(count))
 
     def test_rejects_zero(self):
@@ -188,14 +188,15 @@ class TestCatsRouting:
         a = dense.make_spd(48, seed=3)
         bm = BlockedMatrix.from_matrix(a, 8)
         workers = make_workers(CATS, 4)  # 2 fast + 2 slow
-        priorities = runtime.bottom_levels(g, runtime.default_priority_cost(8))
+        priorities = SchedulerCore(g, policy, workers,
+                                   Table3CostModel(8)).pool.priorities
         cut = policy.cats_threshold * max(priorities)
         placements = []
         lock = threading.Lock()
 
         def hook(task, worker):
             with lock:
-                placements.append((task.id, worker.resource))
+                placements.append((task.id, worker.kind))
 
         _, trace = run(g, bm, policy, workers, task_hook=hook)
         check_trace_legality(g, trace)
@@ -211,7 +212,7 @@ class TestCatsRouting:
         g = build_cholesky_dag(4)
         bm = BlockedMatrix.from_matrix(dense.make_spd(16, 1), 4)
         with pytest.raises(RuntimeError, match="stalled"):
-            run(g, bm, policy, [WorkerDescriptor(0, FAST)])
+            run(g, bm, policy, [Resource(0, FAST)])
 
     @pytest.mark.parametrize("stealing", ["none", "uni", "bi"])
     @pytest.mark.parametrize("kinds", [(FAST, SLOW), (FAST, FAST, SLOW),
@@ -221,7 +222,7 @@ class TestCatsRouting:
                                                                stealing):
         a = dense.make_spd(16, seed=5)
         g = build_cholesky_dag(4)
-        workers = [WorkerDescriptor(i, k) for i, k in enumerate(kinds)]
+        workers = [Resource(i, k) for i, k in enumerate(kinds)]
         rng = random.Random(len(kinds))
 
         def hook(task, worker):
@@ -239,7 +240,7 @@ class TestCatsRouting:
         g = build_cholesky_dag(4)
         bm = BlockedMatrix.from_matrix(a, 8)
         bm, trace = run(g, bm, Policy(CATS, stealing="bi"),
-                        [WorkerDescriptor(0, FAST)])
+                        [Resource(0, FAST)])
         assert dense.residual(a, bm.upper_factor()) < 1e-13
 
 
@@ -331,7 +332,7 @@ class TestReadyPoolProperty:
 class TestSchedulerCore:
     def test_sequential_drain_is_topological(self):
         g = build_cholesky_dag(4)
-        core = SchedulerCore(g, Policy(OBLIVIOUS), {0: FAST})
+        core = SchedulerCore(g, Policy(OBLIVIOUS), [Resource(0, FAST)])
         order = []
         while not core.done:
             tid = core.select(0)
@@ -348,10 +349,11 @@ class TestSchedulerCore:
         # Fast lanes alone, without stealing, run out of critical work;
         # a slow lane in the same state takes the non-critical rest.
         g = build_cholesky_dag(4)
-        cost = runtime.default_priority_cost(4)
+        cost = Table3CostModel(4)
         policy = Policy(CATS, stealing="none")
-        fast_only = SchedulerCore(g, policy, {0: FAST}, cost)
-        mixed = SchedulerCore(g, policy, {0: FAST, 1: SLOW}, cost)
+        fast, slow = Resource(0, FAST), Resource(1, SLOW)
+        fast_only = SchedulerCore(g, policy, [fast], cost)
+        mixed = SchedulerCore(g, policy, [fast, slow], cost)
         while (tid := mixed.select(0)) is not None:
             assert fast_only.select(0) == tid
             mixed.complete(0, tid, 0, 1)
@@ -366,7 +368,8 @@ class TestSchedulerCore:
         # threshold 0: every task is critical
         g = build_cholesky_dag(3)
         core = SchedulerCore(g, Policy(CATS, cats_threshold=0.0, stealing="bi"),
-                             {0: FAST, 1: SLOW}, runtime.default_priority_cost(4))
+                             [Resource(0, FAST), Resource(1, SLOW)],
+                             Table3CostModel(4))
         assert core.select(1) is None
         c0 = core.select(0)
         core.complete(0, c0, 0, 1)
@@ -374,9 +377,22 @@ class TestSchedulerCore:
         core.select(0)
         assert core.select(1) is not None and core.busy == {0, 1}
 
+    def test_bi_slow_worker_waits_while_a_second_fast_worker_is_idle(self):
+        # The idle count is over fast workers, not over the fast kind:
+        # once fast 0 is busy, fast 1 still being idle bars the slow steal.
+        g = build_cholesky_dag(3)
+        core = SchedulerCore(g, Policy(CATS, cats_threshold=0.0, stealing="bi"),
+                             [Resource(0, FAST), Resource(1, FAST),
+                              Resource(2, SLOW)], Table3CostModel(4))
+        core.complete(0, core.select(0), 0, 1)
+        assert len(core.pool) == 2 and core.select(0) is not None
+        assert core.select(2) is None
+        assert core.select(1) is not None and core.busy == {0, 1}
+
     def test_cats_requires_priority_cost(self):
         with pytest.raises(ValueError):
-            SchedulerCore(build_cholesky_dag(2), Policy(CATS), {0: FAST})
+            SchedulerCore(build_cholesky_dag(2), Policy(CATS),
+                          [Resource(0, FAST)])
 
 
 class TestErrorPropagation:

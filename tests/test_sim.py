@@ -8,8 +8,8 @@ import pytest
 from ampsched import sim
 from ampsched.dense import BlockedMatrix, make_spd
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, STALLED, TABLE3_MS,
-                              VC, VC_POLICY, Policy, WorkerDescriptor,
-                              default_priority_cost, run)
+                              VC, VC_POLICY, Policy, SchedulerCore,
+                              default_priority_cost, make_workers, run)
 from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
                           Table3CostModel, lower_bounds, preset_exynos5422,
                           simulate)
@@ -274,13 +274,20 @@ class TestWorkerKindRule:
         else:
             machine = MachineModel(tuple((k, 1.0) for k in sorted(kinds)))
         assert {r.kind for r in machine.resources()} == kinds
-        workers = [WorkerDescriptor(i, k) for i, k in enumerate(sorted(kinds))]
         bm = BlockedMatrix.from_matrix(make_spd(8, 1), 4)
-        ran = _outcome(lambda: run(g, bm, policy, workers))
+        ran = _outcome(lambda: run(g, bm, policy, machine.resources()))
         simulated = _outcome(lambda: simulate(g, machine, Table3CostModel(4),
                                               policy))
         assert ran == simulated
         assert (ran is None) == accepted
+
+    def test_native_and_exynos_workers_get_the_same_cats_ranks(self):
+        g = build_cholesky_dag(5)
+        machine, _ = preset_exynos5422(GTS, 64)
+        ranks = [SchedulerCore(g, Policy(CATS), workers,
+                               Table3CostModel(64)).pool.priorities
+                 for workers in (make_workers(CATS, 2), machine.resources())]
+        assert ranks[0] is not None and ranks[0] == ranks[1]
 
 
 class TestLowerBounds:
