@@ -137,7 +137,7 @@ def cmd_trace(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.infile!r}: {exc}", file=sys.stderr)
         return 1
-    stats = idle_stats(trace, max(trace.wall_end - trace.wall_start, 1))
+    stats = idle_stats(trace)
     _write_csv(args.summary, SUMMARY_FIELDS, [
         {"worker": w, "running_fraction": stats[w]["running"],
          "idle_fraction": stats[w]["idle"]} for w in sorted(stats)])

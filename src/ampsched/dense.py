@@ -1,8 +1,9 @@
 """Dense matrix storage, blocked partitioning and the diagonal-block factor.
 
 Matrices are plain float64 numpy arrays in column-major (Fortran) order.
-``ref_potrf``, the runtime's diagonal-block (C task) factorization, is one
-LAPACK ``dpotrf`` call.
+A BlockedMatrix keeps the tiles on and above the diagonal, all that uplo
+'U' reads: lower tiles are not stored. ``ref_potrf``, the runtime's
+diagonal-block (C task) factorization, is one LAPACK ``dpotrf`` call.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def make_spd(n: int, seed: int) -> np.ndarray:
         raise ValueError("matrix order must be >= 1")
     rng = np.random.default_rng(seed)
     m = rng.random((n, n))
-    a = np.asfortranarray((m + m.T) / 2.0)
+    a = ((m + m.T) / 2.0).T  # x + y == y + x: symmetric, so .T is F order
     np.fill_diagonal(a, float(n + 1))
     return a
 
@@ -79,7 +80,7 @@ def ref_potrf(a: np.ndarray) -> np.ndarray:
 def residual(a: np.ndarray, u: np.ndarray) -> float:
     """Relative factorization residual ||A - U^T U||_F / ||A||_F."""
     a, u = _as_matrix(a), _as_matrix(u)
-    num = np.linalg.norm(a - u.T @ u)
+    num = np.linalg.norm(u.T @ u - a)  # subtracts in the product's buffer
     den = np.linalg.norm(a)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
@@ -89,14 +90,14 @@ def residual(a: np.ndarray, u: np.ndarray) -> float:
 class BlockedMatrix:
     """A square matrix partitioned into a grid of b-by-b tiles.
 
-    Tiles are contiguous Fortran-order copies so that concurrent kernel
-    lanes touch disjoint memory. The last tile row/column may be ragged
-    when b does not divide n. The factorization reads only the upper
-    triangle, as LAPACK does with uplo 'U': tiles below the diagonal and
-    the strictly lower part of diagonal tiles are never consumed.
+    Tiles (i, j) with j >= i are contiguous Fortran-order copies, so that
+    concurrent kernel lanes touch disjoint memory. Lower tiles are not
+    stored (their slots are None): as with LAPACK's uplo 'U', neither they
+    nor the strictly lower part of diagonal tiles is read. The last tile
+    row/column may be ragged when b does not divide n.
     """
 
-    def __init__(self, n: int, b: int, blocks: list[list[np.ndarray]]):
+    def __init__(self, n: int, b: int, blocks: list[list[np.ndarray | None]]):
         self.n = n
         self.b = b
         self.s = -(-n // b)
@@ -112,24 +113,16 @@ class BlockedMatrix:
             raise ValueError(f"block size {b} out of range [1, {n}]")
         s = -(-n // b)
         blocks = [[np.array(a[i * b:(i + 1) * b, j * b:(j + 1) * b], order="F")
-                   for j in range(s)] for i in range(s)]
+                   if j >= i else None for j in range(s)] for i in range(s)]
         return cls(n, b, blocks)
 
-    def assemble(self) -> np.ndarray:
-        """Reassemble the original matrix; bitwise inverse of from_matrix."""
-        out = np.empty((self.n, self.n), order="F")
-        for i in range(self.s):
-            r0 = i * self.b
-            for j in range(self.s):
-                c0 = j * self.b
-                blk = self.blocks[i][j]
-                out[r0:r0 + blk.shape[0], c0:c0 + blk.shape[1]] = blk
-        return out
-
     def upper_factor(self) -> np.ndarray:
-        """Assemble, then zero the strict lower triangle: the factor U."""
-        out = self.assemble()
-        for j in range(self.n - 1):  # F order: each run is contiguous
-            out[j + 1:, j] = 0.0
+        """The factor U: the upper tiles, zero below the diagonal."""
+        b = self.b
+        out = np.zeros((self.n, self.n), order="F")
+        for i, row in enumerate(self.blocks):
+            r = slice(i * b, (i + 1) * b)
+            out[r, r] = np.triu(row[i])
+            for j in range(i + 1, self.s):
+                out[r, j * b:(j + 1) * b] = row[j]
         return out
-

@@ -57,8 +57,9 @@ class MachineModel:
                     for i, (kind, speed) in enumerate(self.cores)]
         fast = [c for c in self.cores if c[0] == FAST]
         slow = [c for c in self.cores if c[0] == SLOW]
-        if len(fast) != len(slow):
-            raise ValueError("VC view requires equal fast and slow core counts")
+        if len(fast) != len(slow) or 2 * len(fast) != len(self.cores):
+            raise ValueError("VC view requires only fast and slow cores, "
+                             "in equal counts")
         return [Resource(i, VC, f[1] + s[1])
                 for i, (f, s) in enumerate(zip(fast, slow))]
 
@@ -118,7 +119,7 @@ class SimResult:
     @property
     def idle_fraction(self) -> dict[int, float]:
         """Idle share of the makespan per resource id."""
-        stats = idle_stats(self.trace, max(self.makespan_ns, 1))
+        stats = idle_stats(self.trace)
         return {rid: s["idle"] for rid, s in stats.items()}
 
 

@@ -81,10 +81,9 @@ class Trace:
         return trace
 
 
-def idle_stats(trace: Trace, horizon_ns: int) -> dict[int, dict[str, float]]:
-    """Per-worker running/idle fractions of the given horizon."""
-    if horizon_ns < trace.wall_end - trace.wall_start:
-        raise ValueError("horizon must cover the whole trace")
+def idle_stats(trace: Trace) -> dict[int, dict[str, float]]:
+    """Per-worker running/idle fractions of the trace's own span."""
+    horizon_ns = max(trace.wall_end - trace.wall_start, 1)
     busy = dict.fromkeys(trace.workers, 0)
     for e in trace.events:
         busy[e.worker] = busy.get(e.worker, 0) + e.end_ns - e.start_ns

@@ -26,6 +26,17 @@ class TestMakeSpd:
         off = a - np.diag(np.diag(a))
         assert np.all(np.abs(off).sum(axis=1) < np.diag(a))
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    def test_equals_the_fortran_copy_construction(self, n):
+        # Reference: an F-order copy of the symmetrized matrix.
+        m = np.random.default_rng(n).random((n, n))
+        old = np.asfortranarray((m + m.T) / 2.0)
+        np.fill_diagonal(old, float(n + 1))
+        a = dense.make_spd(n, n)
+        assert a.flags.f_contiguous
+        assert a.tobytes(order="F") == old.tobytes(order="F")
+        assert a.tobytes() == a.T.tobytes()
+
     def test_deterministic_per_seed(self):
         assert np.array_equal(dense.make_spd(12, 1), dense.make_spd(12, 1))
         assert not np.array_equal(dense.make_spd(12, 1), dense.make_spd(12, 2))
@@ -137,6 +148,16 @@ class TestResidual:
         u = np.linalg.cholesky(a).T
         assert dense.residual(a, u) < 1e-14
 
+    @pytest.mark.parametrize("n", [40, 300])
+    def test_equals_the_old_formula_on_a_perturbed_factor(self, n):
+        # n=300 is past numpy's 256 KiB threshold for reusing a temporary.
+        a = dense.make_spd(n, 4)
+        u = np.linalg.cholesky(a).T
+        u += 1e-6 * np.triu(np.random.default_rng(n).random((n, n)))
+        expected = float(np.linalg.norm(a - u.T @ u) / np.linalg.norm(a))
+        assert expected > 1e-10
+        assert dense.residual(a, u) == expected
+
     def test_zero_matrix(self):
         z = np.zeros((3, 3))
         assert dense.residual(z, z) == 0.0
@@ -147,18 +168,34 @@ class TestResidual:
             dense.residual(np.ones(3), np.eye(3))
 
 
+def check_upper_tiles_only(a, b):
+    """Each tile with j >= i is a bitwise F-order copy of its slice of a;
+    the slots below the diagonal are None."""
+    n = a.shape[0]
+    bm = BlockedMatrix.from_matrix(a, b)
+    assert bm.s == -(-n // b) == len(bm.blocks)
+    for i, row in enumerate(bm.blocks):
+        assert len(row) == bm.s
+        for j, blk in enumerate(row):
+            if j < i:
+                assert blk is None, (i, j)
+                continue
+            tile = a[i * b:(i + 1) * b, j * b:(j + 1) * b]
+            assert blk.flags.f_contiguous and blk.shape == tile.shape
+            assert blk.tobytes(order="F") == tile.tobytes(order="F"), (i, j)
+
+
 class TestBlockedMatrix:
+    # The stored (upper) tiles round-trip bitwise to their slices of a.
     @pytest.mark.parametrize("n,b", [(8, 8), (8, 4), (10, 3), (7, 2), (5, 5)])
     def test_roundtrip_bitwise(self, n, b):
-        a = dense.make_spd(n, seed=b)
-        bm = BlockedMatrix.from_matrix(a, b)
-        assert bm.s == -(-n // b)
-        np.testing.assert_array_equal(bm.assemble(), a)
+        check_upper_tiles_only(dense.make_spd(n, seed=b), b)
 
     def test_blocks_are_fortran_copies(self):
         a = dense.make_spd(6, 1)
         bm = BlockedMatrix.from_matrix(a, 3)
-        assert all(blk.flags.f_contiguous for row in bm.blocks for blk in row)
+        stored = [blk for row in bm.blocks for blk in row if blk is not None]
+        assert len(stored) == 3 and all(b.flags.f_contiguous for b in stored)
         bm.blocks[0][0][0, 0] = -99.0
         assert a[0, 0] != -99.0
 
@@ -190,6 +227,4 @@ class TestBlockedMatrix:
     def test_roundtrip_property(self, n, b, seed):
         if b > n:
             b = n
-        a = dense.make_spd(n, seed)
-        np.testing.assert_array_equal(
-            BlockedMatrix.from_matrix(a, b).assemble(), a)
+        check_upper_tiles_only(dense.make_spd(n, seed), b)

@@ -44,6 +44,12 @@ class TestMachineModel:
             MachineModel(((SLOW, 1.0), (FAST, 4.0), (FAST, 4.0)),
                          VC_VIEW).resources()
 
+    def test_vc_view_rejects_other_core_kinds(self):
+        cores = ((FAST, 1.0), (SLOW, 1.0), ("big", 1.0))
+        with pytest.raises(ValueError, match="only fast and slow"):
+            MachineModel(cores, VC_VIEW).resources()
+        assert len(MachineModel(cores, GTS).resources()) == 3
+
     def test_resource_speed_positive(self):
         with pytest.raises(ValueError):
             Resource(0, FAST, 0.0)
@@ -163,7 +169,7 @@ class TestSimulate:
     def test_idle_fraction_is_the_trace_summary(self, policy, view):
         machine, cost = preset_exynos5422(view, 448)
         res = simulate(build_cholesky_dag(6), machine, cost, policy)
-        stats = idle_stats(res.trace, res.makespan_ns)
+        stats = idle_stats(res.trace)
         assert res.idle_fraction == {r: s["idle"] for r, s in stats.items()}
         # Oracle: an independent per-resource busy-time sum.
         busy = {r.id: 0 for r in machine.resources()}
@@ -358,15 +364,33 @@ class TestExynosS40Anchors:
         assert lower_bounds(dag_s40, machine, cost) == S40_BOUNDS_NS[view]
 
 
+# s=14 under CATS with threshold 0.5 on the modeled Exynos 5422, where
+# bi-directional stealing (a slow core takes critical work while no fast
+# core is idle) shortens the makespan that uni-directional stealing gives.
+STEALING_MAKESPAN_NS = {"uni": 12_221_790_000, "bi": 11_609_640_000}
+
+
+class TestStealingAnchors:
+    @pytest.mark.parametrize("stealing", ["uni", "bi"])
+    def test_cats_half_threshold_makespan(self, stealing):
+        machine, cost = preset_exynos5422(GTS, 448)
+        policy = Policy(CATS, cats_threshold=0.5, stealing=stealing)
+        res = simulate(build_cholesky_dag(14), machine, cost, policy)
+        assert res.makespan_ns == STEALING_MAKESPAN_NS[stealing]
+
+
 class TestIdleStats:
     def test_fractions(self):
         t = Trace([TraceEvent(0, 0, "G", 0, 0, 0, 0, 60),
                    TraceEvent(1, 1, "G", 0, 0, 0, 0, 40)], 0, 100, [0, 1, 2])
-        stats = idle_stats(t, 100)
+        stats = idle_stats(t)
         assert stats[0] == {"running": 0.6, "idle": 0.4}
         assert stats[1] == {"running": 0.4, "idle": 0.6}
         assert stats[2] == {"running": 0.0, "idle": 1.0}
 
-    def test_horizon_must_cover_trace(self):
-        with pytest.raises(ValueError):
-            idle_stats(Trace([], 0, 100, [0]), 50)
+    def test_horizon_is_the_trace_span(self):
+        t = Trace([TraceEvent(0, 0, "G", 0, 0, 0, 1000, 1050)],
+                  1000, 1100, [0])
+        assert idle_stats(t) == {0: {"running": 0.5, "idle": 0.5}}
+        assert idle_stats(Trace([], 7, 7, [0])) == {
+            0: {"running": 0.0, "idle": 1.0}}
