@@ -8,17 +8,17 @@ Three scheduling policies are supported:
 * VC — one worker per fast+slow virtual-core pair, each task internally
   split across the pair by the asymmetric kernels.
 
-The dispatch protocol lives in one deterministic core, SchedulerCore:
-the indegree counters (the last completing predecessor enables a
-successor), the completion count that orders enable events, the two-heap
-ReadyPool with its CATS ranks from a cost model, the rule that matches a
-policy to the workers' kinds (one Resource record per worker), the idle
-fast-worker count that CATS stealing reads, the stall error (STALLED)
-and one (worker, task, start, end) record per completed task. run()
-drives it from worker threads under one condition variable; the
+The dispatch protocol lives in one deterministic core, SchedulerCore: the
+indegree counters (the last completing predecessor enables a successor),
+the two-heap ReadyPool with its CATS ranks from a cost model, the checks
+on the worker list (one Resource record per worker), the rule that
+matches a policy to the workers' kinds, the idle fast-worker count that
+CATS stealing reads, the stall error (STALLED) and one (worker, task,
+start, end) record per completed task, whose count orders enable events.
+run() drives it from worker threads under one condition variable; the
 simulator in :mod:`ampsched.sim` drives the same core from its event
-loop, so both reach every decision through SchedulerCore.select. Each
-VC worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
+loop, so both reach every decision through SchedulerCore.select. Each VC
+worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
 executor) for the whole run, and numpy's and scipy's OpenBLAS pools are
 held at one thread while the workers run. A failure in any worker stops
 all workers and is re-raised by run() with the partial trace attached.
@@ -213,25 +213,29 @@ STALLED = "scheduling stalled: no worker may take any ready task under this poli
 class SchedulerCore:
     """The dispatch protocol run() and simulate() share.
 
-    Owns the indegree counters, the completion count (which also orders
-    enable events), the ready pool, the set of busy workers and one
-    (worker, task id, start_ns, end_ns) record per completed task.
-    Deterministic and not thread-safe: run() calls it under its condition
-    variable, simulate() from its event loop.
+    Owns the indegree counters, the ready pool, the busy workers and one
+    (worker, task id, start_ns, end_ns) record per completed task, whose
+    count orders enable events. Deterministic and not thread-safe: run()
+    calls it under its condition variable, simulate() from its event loop.
 
     workers are the resources, all idle at first; the core keeps their
-    id -> kind map. ValueError unless the policy suits those kinds: the
-    VC policy iff every kind is VC (VC pairs, the VC machine view),
-    oblivious and CATS on fast/slow lanes only, and CATS with at least
-    one fast lane. CATS ranks tasks by bottom levels over each kind's
-    duration on the fastest fast worker under the cost model (a
-    duration_ns(task, resource) object), without which the ReadyPool
-    raises ValueError.
+    id -> kind map. ValueError unless there is at least one worker, the
+    ids are distinct and the policy suits the kinds: the VC policy iff
+    every kind is VC (VC pairs, the VC machine view), oblivious and CATS
+    on fast/slow lanes only, and CATS with at least one fast lane. CATS
+    ranks tasks by bottom levels over each kind's duration on the fastest
+    fast worker under the cost model (a duration_ns(task, resource)
+    object), without which the ReadyPool raises ValueError.
     """
 
     def __init__(self, g: TaskGraph, policy: Policy, workers: list[Resource],
                  cost=None):
-        kinds = {w.kind for w in workers}
+        if not workers:
+            raise ValueError("at least one worker is required")
+        self.workers = {w.id: w.kind for w in workers}
+        if len(self.workers) != len(workers):
+            raise ValueError("worker ids must be distinct")
+        kinds = set(self.workers.values())
         if (policy.kind == VC_POLICY) != (kinds == {VC}):
             raise ValueError("VC policy requires the VC machine view and vice versa")
         if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
@@ -239,14 +243,12 @@ class SchedulerCore:
         if policy.kind == CATS and FAST not in kinds:
             raise ValueError("CATS requires at least one fast worker")
         self.g = g
-        self.workers = {w.id: w.kind for w in workers}
         priorities = None
         if policy.kind == CATS and cost is not None:
             fast = fastest_ns(g, [w for w in workers if w.kind == FAST], cost)
             priorities = bottom_levels(g, lambda t: fast[t.kind])
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
-        self.completed = 0
         self.busy: set[int] = set()
         self.idle_fast = sum(w.kind == FAST for w in workers)
         self.records: list[tuple[int, int, int, int]] = []
@@ -256,7 +258,7 @@ class SchedulerCore:
 
     @property
     def done(self) -> bool:
-        return self.completed == len(self.g.tasks)
+        return len(self.records) == len(self.g.tasks)
 
     def select(self, worker_id: int) -> Optional[int]:
         """The next task for an idle worker, which then counts as busy.
@@ -283,11 +285,10 @@ class SchedulerCore:
         self.busy.remove(worker_id)
         self.idle_fast += self.workers[worker_id] == FAST
         self.records.append((worker_id, tid, start_ns, end_ns))
-        self.completed += 1
         for succ in self.g.successors[tid]:
             self.indegree[succ] -= 1
             if self.indegree[succ] == 0:
-                self.pool.push(succ, self.completed)
+                self.pool.push(succ, len(self.records))
 
     def trace(self, wall_start: int, wall_end: int) -> Trace:
         """The trace of every completed task, workers in the given order."""
@@ -329,10 +330,6 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     NaN included, aborts outstanding work and the raised error carries the
     global pivot index and the partial trace.
     """
-    if not workers:
-        raise ValueError("at least one worker is required")
-    if len({w.id for w in workers}) != len(workers):
-        raise ValueError("worker ids must be distinct")
     if len(g.tasks) != sum(task_counts(bm.s).values()):
         raise ValueError(f"a {len(g.tasks)}-task graph does not match the "
                          f"{bm.s}x{bm.s} block grid of the matrix")

@@ -8,9 +8,9 @@ directionality mechanism). Dependencies are derived with last-writer tracking:
   every accessed block;
 * write-after-read: edges from all readers since that writer.
 
-The edge set is kept unreduced; scheduling only needs a superset of the
-true constraints and the unreduced relation is what the pairwise oracle
-in the test suite reproduces. Builds pause the cyclic garbage collector.
+Each edge p -> q is stored once, as q in p's successor list and one count
+of q's indegree. Scheduling needs only a superset of the true constraints,
+so edges stay unreduced. Builds pause the cyclic garbage collector.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import gc
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -34,7 +34,7 @@ class TaskKind(str, Enum):
 def _collector_paused(build):
     """Run build with Python's cyclic garbage collector paused.
 
-    A build allocates about ten tracked containers per task, which every
+    A build keeps about six tracked containers per task, which every
     gen-0 collection would rescan, with any older graph. It makes no
     reference cycles and refcounting frees its temporaries, so pausing
     loses nothing. The state is process-wide (no thread collects while a
@@ -63,25 +63,28 @@ class Task:
 
 @dataclass
 class TaskGraph:
-    tasks: list[Task]
-    edges: list[tuple[int, int]]
-    successors: list[list[int]] = field(init=False)  # derived from edges
-    indegree: list[int] = field(init=False)
+    """Tasks in id order, a topological one; each edge p -> q stored once."""
 
-    def __post_init__(self):
-        self.successors = [[] for _ in self.tasks]
-        self.indegree = [0] * len(self.tasks)
-        for p, q in self.edges:
-            self.successors[p].append(q)
-            self.indegree[q] += 1
+    tasks: list[Task]
+    successors: list[list[int]]  # successors[p]: each q after p, ascending
+    indegree: list[int]  # indegree[q]: the number of such p
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Every edge (p, q) in registration order, by q and then p; derived
+        from the successor lists on each access, which costs O(E)."""
+        preds = [[] for _ in self.tasks]
+        for p, succ in enumerate(self.successors):
+            for q in succ:
+                preds[q].append(p)
+        return [(p, q) for q, ps in enumerate(preds) for p in ps]
 
 
 class TaskGraphBuilder:
     """Sequential-order task registration with dependency tracking."""
 
     def __init__(self):
-        self._tasks: list[Task] = []
-        self._edges: list[tuple[int, int]] = []
+        self._graph = TaskGraph([], [], [])  # filled in place
         self._last_writer: dict = {}
         self._readers: defaultdict = defaultdict(list)  # since the last write
 
@@ -90,22 +93,25 @@ class TaskGraphBuilder:
         if type(write) is not tuple or [*map(type, write)] != [int, int]:
             raise ValueError(f"a task writes one (i, j) block, not {write!r}")
         reads = frozenset(reads)
-        tid = len(self._tasks)
-        last, readers = self._last_writer, self._readers
+        last, readers, g = self._last_writer, self._readers, self._graph
+        tid = len(g.tasks)
         deps = set(readers.get(write, ()))  # write after read
         deps.add(last.get(write))
         for blk in reads:
             deps.add(last.get(blk))
             readers[blk].append(tid)
         deps.discard(None)
-        self._edges += [(d, tid) for d in sorted(deps)]
+        for d in deps:
+            g.successors[d].append(tid)
+        g.successors.append([])
+        g.indegree.append(len(deps))
         last[write] = tid
         readers[write] = []
-        self._tasks.append(Task(tid, kind, k, *write, reads))
+        g.tasks.append(Task(tid, kind, k, *write, reads))
         return tid
 
     def build(self) -> TaskGraph:
-        return TaskGraph(self._tasks, self._edges)
+        return self._graph
 
 
 @_collector_paused
@@ -130,12 +136,9 @@ def task_counts(s: int) -> dict[TaskKind, int]:
     """Closed-form per-kind task counts of the s-block Cholesky DAG."""
     if s < 1:
         raise ValueError("block count must be >= 1")
-    return {
-        TaskKind.C: s,
-        TaskKind.T: s * (s - 1) // 2,
-        TaskKind.S: s * (s - 1) // 2,
-        TaskKind.G: s * (s - 1) * (s - 2) // 6,
-    }
+    pairs = s * (s - 1) // 2
+    return {TaskKind.C: s, TaskKind.T: pairs, TaskKind.S: pairs,
+            TaskKind.G: s * (s - 1) * (s - 2) // 6}
 
 
 def bottom_levels(g: TaskGraph, cost: Callable[[Task], float]) -> list[float]:
@@ -154,15 +157,15 @@ def bottom_levels(g: TaskGraph, cost: Callable[[Task], float]) -> list[float]:
 
 def critical_path(g: TaskGraph, cost: Callable[[Task], float]) -> float:
     """Longest weighted path through the DAG; a schedule lower bound."""
-    bl = bottom_levels(g, cost)
-    return max(bl) if bl else 0.0
+    return max(bottom_levels(g, cost), default=0.0)
 
 
 def export_dot(g: TaskGraph) -> str:
     """Render the DAG in DOT format, deterministically ordered by id."""
     nodes = [f'  t{t.id} [label="{t.kind.value}[{t.i},{t.j}] k={t.k}"];'
              for t in g.tasks]
-    edges = [f"  t{p} -> t{q};" for p, q in sorted(g.edges)]
+    edges = [f"  t{p} -> t{q};"
+             for p, succ in enumerate(g.successors) for q in succ]
     return "\n".join(["digraph tasks {", *nodes, *edges, "}"]) + "\n"
 
 
@@ -171,5 +174,5 @@ def to_json(g: TaskGraph) -> str:
     doc = {"tasks": [{"id": t.id, "kind": t.kind.value, "k": t.k, "i": t.i,
                       "j": t.j, "reads": sorted(map(list, t.reads))}
                      for t in g.tasks],
-           "edges": [list(e) for e in g.edges]}
+           "edges": g.edges}  # each (p, q) tuple is written as a list
     return json.dumps(doc, indent=1)

@@ -394,6 +394,17 @@ class TestSchedulerCore:
             SchedulerCore(build_cholesky_dag(2), Policy(CATS),
                           [Resource(0, FAST)])
 
+    @pytest.mark.parametrize("workers,match", [
+        ([], "at least one worker"),
+        ([Resource(0, FAST), Resource(0, SLOW)], "distinct"),
+    ], ids=["none", "duplicate-ids"])
+    def test_rejects_bad_worker_list(self, workers, match):
+        # The core checks its own worker list: duplicate ids would leave
+        # one kind per id beside an idle-fast count of both workers.
+        with pytest.raises(ValueError, match=match):
+            SchedulerCore(build_cholesky_dag(3), Policy(CATS), workers,
+                          Table3CostModel(4))
+
 
 class TestErrorPropagation:
     def test_nonpositive_block_reports_global_index(self):

@@ -66,21 +66,34 @@ class TestCholeskyDag:
         assert [t.id for t in g.tasks] == list(range(len(g.tasks)))
 
     def test_indegree_and_successors_consistent(self):
-        g = build_cholesky_dag(5)
-        indeg = [0] * len(g.tasks)
-        for p, q in g.edges:
-            assert q in g.successors[p]
-            indeg[q] += 1
-        assert indeg == g.indegree
-        assert g.indegree[0] == 0  # the first factorization task is a source
+        # edges is derived from the successor lists: check it against both
+        # stored lists, and its registration order (by q, then p).
+        graphs = [build_cholesky_dag(5)] + [
+            random_task_graph(np.random.default_rng(seed)) for seed in range(8)]
+        for g in graphs:
+            edges = g.edges
+            indeg = [0] * len(g.tasks)
+            for p, q in edges:
+                assert q in g.successors[p]
+                indeg[q] += 1
+            assert indeg == g.indegree
+            assert set(edges) == {(p, q) for p, succ in enumerate(g.successors)
+                                  for q in succ}
+            assert edges == sorted(edges, key=lambda e: (e[1], e[0]))
+            assert g.indegree[0] == 0  # the first task is a source
 
     def test_s40_edge_list_anchor(self):
-        # Successor order sets the FIFO enable order, so the edge list is
-        # pinned order included, not only as a set.
-        edges = build_cholesky_dag(40).edges
+        # Pinned order included, not only as sets: to_json writes the edges
+        # in this order, export_dot the successor lists in theirs. The FIFO
+        # enable order depends on neither: complete() pushes every task it
+        # releases with one sequence number, and the heap breaks ties by id.
+        g = build_cholesky_dag(40)
+        edges = g.edges
         assert len(edges) == 31_980
         assert hashlib.sha1(repr(edges).encode()).hexdigest() == \
             "7f78308edf277a114ffaa80d5757b538ce8acbd9"
+        assert hashlib.sha1(repr(g.successors).encode()).hexdigest() == \
+            "e8e14bf640adf1255f7add34665f0e0c5aacff28"
 
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
@@ -166,6 +179,13 @@ class TestExport:
         assert [tuple(e) for e in doc["edges"]] == g.edges
         # The written block is the task's (i, j), so no "writes" key.
         assert "writes" not in doc["tasks"][0]
+
+    def test_export_bytes_pinned(self):
+        g = build_cholesky_dag(6)
+        assert hashlib.sha1(export_dot(g).encode()).hexdigest() == \
+            "aeaeef16321e13c6a6f87d4055f1b6b408bf9bfd"
+        assert hashlib.sha1(to_json(g).encode()).hexdigest() == \
+            "a074204ec4db47fe8144bab33f0c3ea144227633"
 
 
 @pytest.fixture
