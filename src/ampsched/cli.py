@@ -78,16 +78,22 @@ def cmd_bench(args) -> int:
     rows = []
     for b in args.b:
         g = build_cholesky_dag(-(-n // b))
-        best = resid = math.inf
-        for _ in range(args.reps):
+        best = math.inf
+        for rep in range(args.reps):
             bm = dense.BlockedMatrix.from_matrix(a, b)
             t0 = time.perf_counter()
             bm, _trace = runtime.run(g, bm, policy, descs)
             elapsed = time.perf_counter() - t0
-            resid = dense.residual(a, bm.upper_factor())
-            if resid > tol:
-                print(f"error: residual {resid:.3e} exceeds tolerance "
-                      f"{tol:.3e} for n={n} b={b}", file=sys.stderr)
+            u = bm.upper_factor()
+            if rep == 0:  # one residual per b; later factors must match it
+                first, resid = u.tobytes(), dense.residual(a, u)
+                if resid > tol:
+                    print(f"error: residual {resid:.3e} exceeds tolerance "
+                          f"{tol:.3e} for n={n} b={b}", file=sys.stderr)
+                    return 1
+            elif u.tobytes() != first:
+                print(f"error: factor of repetition {rep + 1} differs from "
+                      f"the first for n={n} b={b}", file=sys.stderr)
                 return 1
             best = min(best, elapsed)
         rows.append({"n": n, "b": b, "policy": policy_kind, "workers": workers,

@@ -16,7 +16,7 @@ prices a task by its kind and the resource alone. So the core, ranking
 CATS tasks, and the lower bounds probe it once per (task kind, resource)
 pair (runtime.fastest_ns), while the event loop asks it once per
 dispatched task. Resources, the Table 3 cost model and fastest_ns are
-the runtime's own, re-exported here.
+the runtime's own, re-exported here. Replays pause the cyclic collector.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .runtime import (FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, Policy,
                       Resource, SchedulerCore, Table3CostModel, fastest_ns)
-from .taskgraph import Task, TaskGraph, TaskKind, critical_path
+from .taskgraph import (Task, TaskGraph, TaskKind, _collector_paused,
+                        critical_path)
 from .trace import Trace, idle_stats
 
 GTS = "gts"
@@ -123,6 +124,7 @@ class SimResult:
         return {rid: s["idle"] for rid, s in stats.items()}
 
 
+@_collector_paused
 def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""

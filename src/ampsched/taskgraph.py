@@ -31,20 +31,19 @@ class TaskKind(str, Enum):
     S = "S"  # sy_update: symmetric rank-b update of a diagonal block
 
 
-def _collector_paused(build):
-    """Run build with Python's cyclic garbage collector paused.
+def _collector_paused(fn):
+    """Run fn with Python's cyclic garbage collector paused.
 
-    A build keeps about six tracked containers per task, which every
-    gen-0 collection would rescan, with any older graph. It makes no
-    reference cycles and refcounting frees its temporaries, so pausing
-    loses nothing. The state is process-wide (no thread collects while a
-    build runs) and is restored afterwards, also on error."""
-    @functools.wraps(build)
+    DAG builds and simulations allocate tracked containers per task, which
+    every gen-0 collection would rescan, but make no reference cycles, so
+    pausing loses nothing. The state is process-wide (no thread collects
+    meanwhile) and is restored afterwards, also on error."""
+    @functools.wraps(fn)
     def paused(*args, **kwargs):
         enabled = gc.isenabled()
         gc.disable()
         try:
-            return build(*args, **kwargs)
+            return fn(*args, **kwargs)
         finally:
             if enabled:
                 gc.enable()

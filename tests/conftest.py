@@ -1,5 +1,6 @@
 """Shared test helpers: random DAGs, lane pairs, timeouts and acceptance reporting."""
 
+import gc
 import re
 import threading
 
@@ -59,6 +60,14 @@ def check_trace_legality(g: TaskGraph, trace) -> None:
     for p, q in g.edges:
         assert end[p] <= start[q], f"edge ({p}, {q}) violated: " \
             f"pred ends {end[p]}, succ starts {start[q]}"
+
+
+@pytest.fixture
+def collector_state():
+    """Restore the cyclic collector's on/off state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
 
 
 def count_lane_pairs(monkeypatch):

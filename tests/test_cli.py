@@ -97,6 +97,42 @@ class TestBench:
         assert rc == 0
         assert read_csv(out)[0]["policy"] == "vc"
 
+    def test_residual_once_per_block_size(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.dense.residual
+
+        def counted(a, u):
+            calls.append(u.shape)
+            return real(a, u)
+
+        monkeypatch.setattr(cli.dense, "residual", counted)
+        rc = cli.main(["bench", "--n", "64", "--b", "8,16", "--workers", "2",
+                       "--reps", "3", "--csv", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert len(calls) == 2
+
+    def test_repetition_factor_must_match_bitwise(self, tmp_path, monkeypatch,
+                                                  capsys):
+        real = cli.runtime.run
+        count = []
+
+        def flipped(*args, **kwargs):
+            bm, trace = real(*args, **kwargs)
+            count.append(1)
+            if len(count) == 2:
+                bm.blocks[0][0].reshape(-1, order="F").view("u8")[0] ^= 1
+            return bm, trace
+
+        monkeypatch.setattr(cli.runtime, "run", flipped)
+        out = tmp_path / "out.csv"
+        rc = cli.main(["bench", "--n", "64", "--b", "16", "--workers", "2",
+                       "--reps", "3", "--csv", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: factor of repetition 2 differs from the first "
+                       "for n=64 b=16"]
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_schema_and_trace_export(self, tmp_path):

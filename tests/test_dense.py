@@ -1,6 +1,8 @@
 """Storage, partitioning and reference-kernel oracles."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ class TestMakeSpd:
         off = a - np.diag(np.diag(a))
         assert np.all(np.abs(off).sum(axis=1) < np.diag(a))
 
-    @pytest.mark.parametrize("n", [1, 2, 17, 300])
+    @pytest.mark.parametrize("n", [1, 2, 17, 63, 64, 65, 129, 300])
     def test_equals_the_fortran_copy_construction(self, n):
         # Reference: an F-order copy of the symmetrized matrix.
         m = np.random.default_rng(n).random((n, n))
@@ -36,6 +38,20 @@ class TestMakeSpd:
         assert a.flags.f_contiguous
         assert a.tobytes(order="F") == old.tobytes(order="F")
         assert a.tobytes() == a.T.tobytes()
+
+    def test_bytes_pinned_at_n2048(self):
+        a = dense.make_spd(2048, 1)
+        assert hashlib.sha1(a.tobytes(order="F")).hexdigest() == \
+            "00b719f2672514d565c5ed60997e69d6ae11fb4c"
+
+    def test_peak_is_one_matrix_plus_a_tile(self):
+        tracemalloc.start()
+        try:
+            dense.make_spd(1024, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.5 * 2 ** 20  # the matrix is 8 MiB
 
     def test_deterministic_per_seed(self):
         assert np.array_equal(dense.make_spd(12, 1), dense.make_spd(12, 1))

@@ -1,5 +1,6 @@
 """Discrete-event simulator: determinism, cost models, bounds, presets."""
 
+import gc
 import hashlib
 
 import numpy as np
@@ -129,6 +130,60 @@ class TestPreset:
         # The model checks its view when built, the preset's model included.
         with pytest.raises(ValueError, match="unknown machine view"):
             MachineModel(((FAST, 1.0),), "weird").resources()
+
+
+class ZeroCost:
+    def duration_ns(self, task, resource):
+        return 0
+
+
+POLICY_VIEWS = [(Policy(OBLIVIOUS), GTS), (Policy(CATS), GTS),
+                (Policy(VC_POLICY), VC_VIEW)]
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("policy,view", POLICY_VIEWS)
+    def test_simulate_runs_no_collection(self, collector_state, policy, view):
+        g = build_cholesky_dag(12)
+        machine, cost = preset_exynos5422(view, 448)
+        starts = []
+
+        def hook(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        threshold = gc.get_threshold()
+        gc.set_threshold(100)  # an unpaused s=12 replay would collect
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            simulate(g, machine, cost, policy)
+            during = len(starts)  # read before anything new is allocated
+        finally:
+            gc.callbacks.remove(hook)
+            gc.set_threshold(*threshold)
+        assert during == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, collector_state, enabled):
+        g = build_cholesky_dag(3)
+        machine, cost = preset_exynos5422(GTS, 448)
+        (gc.enable if enabled else gc.disable)()
+        simulate(g, machine, cost, Policy(OBLIVIOUS))
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="non-positive duration"):
+            simulate(g, machine, ZeroCost(), Policy(OBLIVIOUS))
+        assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("policy,view", POLICY_VIEWS)
+    def test_simulate_leaves_no_cycles(self, collector_state, policy, view):
+        g = build_cholesky_dag(8)
+        machine, cost = preset_exynos5422(view, 448)
+        gc.collect()
+        gc.disable()
+        res = simulate(g, machine, cost, policy)
+        del res
+        assert gc.collect() == 0
 
 
 class TestSimulate:

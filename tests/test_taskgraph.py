@@ -188,14 +188,6 @@ class TestExport:
             "a074204ec4db47fe8144bab33f0c3ea144227633"
 
 
-@pytest.fixture
-def collector_state():
-    """Restore the cyclic collector's on/off state after the test."""
-    enabled = gc.isenabled()
-    yield
-    (gc.enable if enabled else gc.disable)()
-
-
 class TestCollectorPause:
     def test_build_runs_no_collection(self, collector_state):
         starts = []
