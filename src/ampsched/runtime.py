@@ -15,18 +15,19 @@ on the worker list (one Resource record per worker), the rule that
 matches a policy to the workers' kinds, the idle fast-worker count that
 CATS stealing reads, the stall error (STALLED) and one (worker, task,
 start, end) record per completed task, whose count orders enable events.
-run() drives it from worker threads under one condition variable; the
-simulator in :mod:`ampsched.sim` drives the same core from its event
-loop, so both reach every decision through SchedulerCore.select. Each VC
-worker keeps one slow-lane thread (kernels.lane_pair, a one-thread
-executor) for the whole run, and numpy's and scipy's OpenBLAS pools are
-held at one thread while the workers run. A failure in any worker stops
-all workers and is re-raised by run() with the partial trace attached.
-Trace.collect builds the trace events once, from the core's records.
+run() drives it from worker threads through select() and complete(); the
+simulator in :mod:`ampsched.sim` runs the core's own event loop, drain(),
+the same protocol with its counts in locals. Each VC worker keeps one
+slow-lane thread (kernels.lane_pair, a one-thread executor) for the whole
+run, and numpy's and scipy's OpenBLAS pools are held at one thread while
+the workers run. A failure in any worker stops all workers and is
+re-raised by run() with the partial trace attached. Trace.collect builds
+the trace events once, from the core's records.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import heapq
 import threading
@@ -104,17 +105,20 @@ class Table3CostModel:
         return self.table[resource.kind][task.kind]
 
 
-def fastest_ns(g: TaskGraph, resources: list[Resource],
-               cost) -> dict[TaskKind, int]:
-    """Each task kind of g mapped to its duration on its fastest resource.
-
-    Relies on the cost-model contract: a task is priced by its kind and
-    the resource alone, so one task of each kind stands for all of them
-    and each (kind, resource) pair is probed once.
-    """
+def duration_table(g: TaskGraph, resources: list[Resource],
+                   cost) -> dict[int, dict[TaskKind, int]]:
+    """Each resource id mapped to each task kind of g's duration on it, one
+    probe per (resource, kind) pair: the cost-model contract prices a task
+    by its kind and the resource alone."""
     sample = {t.kind: t for t in g.tasks}
-    return {kind: min(cost.duration_ns(t, r) for r in resources)
-            for kind, t in sample.items()}
+    return {r.id: {kind: cost.duration_ns(t, r) for kind, t in sample.items()}
+            for r in resources}
+
+
+def fastest_ns(g: TaskGraph, resources: list[Resource], cost) -> dict[TaskKind, int]:
+    """Each task kind of g mapped to its duration on its fastest resource."""
+    rows = list(duration_table(g, resources, cost).values())
+    return {kind: min(row[kind] for row in rows) for kind in rows[0]}
 
 
 @dataclass(frozen=True)
@@ -154,7 +158,8 @@ class ReadyPool:
         self._noncrit: list[tuple] = []
         self._crit: list[tuple] = []
         self._cut = 0.0
-        if policy.kind == CATS:
+        self._fifo = policy.kind != CATS
+        if not self._fifo:
             if priorities is None:
                 raise ValueError("CATS requires bottom-level priorities")
             self._cut = policy.cats_threshold * max(priorities, default=0.0)
@@ -163,7 +168,7 @@ class ReadyPool:
         return len(self._noncrit) + len(self._crit)
 
     def push(self, task_id: int, event_seq: int) -> None:
-        if self.policy.kind != CATS:
+        if self._fifo:
             heapq.heappush(self._noncrit, (event_seq, task_id))
             return
         bl = self.priorities[task_id]
@@ -179,7 +184,7 @@ class ReadyPool:
         heap, bi-directional stealing additionally lets a slow lane take
         critical work when no fast worker is idle.
         """
-        if self.policy.kind != CATS:
+        if self._fifo:
             return self._noncrit or None
         stealing = self.policy.stealing
         if resource == FAST:
@@ -202,8 +207,8 @@ class ReadyPool:
         FIFO policies pop in order of enabling, ties by task id; CATS pops
         the highest bottom level of the allowed heap, ties by task id.
         """
-        heap = self._allowed_heap(resource, idle_fast)
-        return heapq.heappop(heap)[1] if heap is not None else None
+        heap = self._noncrit if self._fifo else self._allowed_heap(resource, idle_fast)
+        return heapq.heappop(heap)[1] if heap else None
 
 
 # Raised by SchedulerCore.select, in run() and sim.simulate() alike.
@@ -216,7 +221,7 @@ class SchedulerCore:
     Owns the indegree counters, the ready pool, the busy workers and one
     (worker, task id, start_ns, end_ns) record per completed task, whose
     count orders enable events. Deterministic and not thread-safe: run()
-    calls it under its condition variable, simulate() from its event loop.
+    calls it under its condition variable, simulate() runs drain().
 
     workers are the resources, all idle at first; the core keeps their
     id -> kind map. ValueError unless there is at least one worker, the
@@ -225,7 +230,8 @@ class SchedulerCore:
     on fast/slow lanes only, and CATS with at least one fast lane. CATS
     ranks tasks by bottom levels over each kind's duration on the fastest
     fast worker under the cost model (a duration_ns(task, resource)
-    object), without which the ReadyPool raises ValueError.
+    object), without which the ReadyPool raises ValueError; g memoizes
+    them by task count and durations, so repeated runs rank it once.
     """
 
     def __init__(self, g: TaskGraph, policy: Policy, workers: list[Resource],
@@ -246,7 +252,9 @@ class SchedulerCore:
         priorities = None
         if policy.kind == CATS and cost is not None:
             fast = fastest_ns(g, [w for w in workers if w.kind == FAST], cost)
-            priorities = bottom_levels(g, lambda t: fast[t.kind])
+            key = (len(g.tasks), frozenset(fast.items()))  # g may still grow
+            ranks = g._ranks.get(key) or bottom_levels(g, lambda t: fast[t.kind])
+            priorities = g._ranks[key] = ranks
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
         self.busy: set[int] = set()
@@ -273,11 +281,15 @@ class SchedulerCore:
         if tid is not None:
             self.busy.add(worker_id)
             self.idle_fast -= kind == FAST
-        elif not self.busy and not self.done and not any(
-                self.pool.can_select(k, self.idle_fast)
-                for k in set(self.workers.values())):
-            raise RuntimeError(STALLED)
+        elif not self.busy and not self.done:
+            self._raise_if_stalled(self.idle_fast)
         return tid
+
+    def _raise_if_stalled(self, idle_fast: int) -> None:
+        """STALLED unless some worker kind may take a ready task now."""
+        if not any(self.pool.can_select(k, idle_fast)
+                   for k in set(self.workers.values())):
+            raise RuntimeError(STALLED)
 
     def complete(self, worker_id: int, tid: int, start_ns: int,
                  end_ns: int) -> None:
@@ -289,6 +301,44 @@ class SchedulerCore:
             self.indegree[succ] -= 1
             if self.indegree[succ] == 0:
                 self.pool.push(succ, len(self.records))
+
+    def drain(self, durations: dict[int, dict[TaskKind, int]]) -> int:
+        """Run a fresh core's tasks in simulated time; return the makespan, ns.
+
+        durations[worker id][kind] prices each task. Each pass selects for
+        the idle workers in ascending id order, then the earliest ends
+        complete in (end, worker id) order: select() and complete() with
+        the counts in locals, so busy, idle_fast and records end the same.
+        ValueError before any dispatch if a duration is not positive."""
+        if any(ns <= 0 for row in durations.values() for ns in row.values()):
+            raise ValueError("cost model produced a non-positive duration")
+        tasks, successors, indegree = self.g.tasks, self.g.successors, self.indegree
+        records, select, push, kinds = (self.records, self.pool.select,
+                                        self.pool.push, self.workers)
+        idle, running, idle_fast, now = sorted(kinds), [], self.idle_fast, 0
+        while len(records) < len(tasks):
+            waiting = []
+            for w in idle:
+                tid = select(kinds[w], idle_fast)
+                if tid is None:
+                    if not running:  # no worker is busy
+                        self._raise_if_stalled(idle_fast)
+                    waiting.append(w)
+                    continue
+                idle_fast -= kinds[w] == FAST
+                heapq.heappush(running, (now + durations[w][tasks[tid].kind],
+                                         w, tid, now))
+            idle, now = waiting, running[0][0]
+            while running and running[0][0] == now:
+                _, w, tid, start = heapq.heappop(running)
+                idle_fast += kinds[w] == FAST
+                records.append((w, tid, start, now))
+                bisect.insort(idle, w)
+                for succ in successors[tid]:
+                    indegree[succ] -= 1
+                    if not indegree[succ]:
+                        push(succ, len(records))
+        return now
 
     def trace(self, wall_start: int, wall_end: int) -> Trace:
         """The trace of every completed task, workers in the given order."""

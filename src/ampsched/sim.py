@@ -2,30 +2,29 @@
 
 Replays a task graph under the same scheduling policies as the threaded
 runtime, with task durations taken from a cost model instead of measured.
-The event loop drives the runtime's own SchedulerCore, so dependency
+The event loop is the runtime's SchedulerCore.drain, so dependency
 release, enable-event ordering, every ReadyPool decision, the policy
 check on resource kinds, the idle count CATS stealing reads, the stall
-error and the trace records are the same code the threads run. Time is
-integer nanoseconds; ready-task assignment within a simulation tick
-visits the idle resources in ascending id order, so identical inputs
-give bitwise identical results, recorded as the same Trace
-(:mod:`ampsched.trace`) that a native run gives.
+error and the trace records follow the protocol the threads run. Time is
+integer nanoseconds; each pass visits the idle resources in ascending id
+order, so identical inputs give bitwise identical results, recorded as
+the same Trace (:mod:`ampsched.trace`) that a native run gives.
 
-A cost model is any object with ``duration_ns(task, resource)``, and it
-prices a task by its kind and the resource alone. So the core, ranking
-CATS tasks, and the lower bounds probe it once per (task kind, resource)
-pair (runtime.fastest_ns), while the event loop asks it once per
-dispatched task. Resources, the Table 3 cost model and fastest_ns are
-the runtime's own, re-exported here. Replays pause the cyclic collector.
+A cost model is any object with ``duration_ns(task, resource)`` that
+prices a task by its kind and the resource alone, so a replay probes it
+once per (resource, kind) pair (runtime.duration_table); CATS ranks and
+the lower bounds take each kind's fastest entry (fastest_ns). Resources,
+the Table 3 cost model and fastest_ns are the runtime's own, re-exported
+here. Replays pause the cyclic collector.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .runtime import (FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, Policy,
-                      Resource, SchedulerCore, Table3CostModel, fastest_ns)
+                      Resource, SchedulerCore, Table3CostModel,
+                      duration_table, fastest_ns)
 from .taskgraph import (Task, TaskGraph, TaskKind, _collector_paused,
                         critical_path)
 from .trace import Trace, idle_stats
@@ -130,28 +129,7 @@ def simulate(g: TaskGraph, machine: MachineModel, cost,
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
     resources = machine.resources()
     core = SchedulerCore(g, policy, resources, cost)
-
-    running: list[tuple[int, int, int, int]] = []  # (finish, rid, tid, start)
-    now = 0
-    while not core.done:
-        # A pass that leaves no task running ends in the core's stall error.
-        for res in resources:
-            if res.id in core.busy:
-                continue
-            tid = core.select(res.id)
-            if tid is None:
-                continue
-            dur = cost.duration_ns(g.tasks[tid], res)
-            if dur <= 0:
-                raise ValueError("cost model produced a non-positive duration")
-            heapq.heappush(running, (now + dur, res.id, tid, now))
-        # Entries finishing together pop in resource-id order, and a
-        # resource runs one task at a time.
-        now = running[0][0]
-        while running and running[0][0] == now:
-            _, rid, tid, start = heapq.heappop(running)
-            core.complete(rid, tid, start, now)
-
+    now = core.drain(duration_table(g, resources, cost))
     return SimResult(now, core.trace(0, now))
 
 

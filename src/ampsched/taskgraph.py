@@ -19,7 +19,7 @@ import functools
 import gc
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -67,6 +67,7 @@ class TaskGraph:
     tasks: list[Task]
     successors: list[list[int]]  # successors[p]: each q after p, ascending
     indegree: list[int]  # indegree[q]: the number of such p
+    _ranks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:

@@ -1,13 +1,18 @@
-"""Naive per-element BLAS-3 oracles for the slab-blocked kernels.
+"""Naive oracles: per-element BLAS-3 kernels and a per-tick simulator.
 
 Deliberately simple and independent of the slab grid: the kernel tests
-compare ``ampsched.kernels`` against these within a rounding bound.
+compare ``ampsched.kernels`` against these within a rounding bound. The
+simulator tests compare ``sim.simulate`` against ``tick_simulate``
+exactly.
 """
+
+import heapq
 
 import numpy as np
 
 from ampsched.dense import SingularTriangularError, _as_matrix
 from ampsched.kernels import MICRO_SLAB
+from ampsched.runtime import SchedulerCore
 
 
 def ref_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -65,3 +70,33 @@ def ref_trsm(u: np.ndarray, b: np.ndarray) -> np.ndarray:
         else:
             x[i, :] = b[i, :] / u[i, i]
     return x
+
+
+def tick_simulate(g, machine, cost, policy) -> tuple[int, SchedulerCore]:
+    """(makespan_ns, the drained core) of the simulator's per-tick loop.
+
+    Each tick visits every resource in id order, and every idle one takes
+    its next task through SchedulerCore.select, priced by one
+    cost.duration_ns call per task; entries ending together complete
+    through SchedulerCore.complete in resource-id order.
+    """
+    resources = sorted(machine.resources(), key=lambda r: r.id)
+    core = SchedulerCore(g, policy, resources, cost)
+    running = []  # (finish, rid, tid, start)
+    now = 0
+    while not core.done:
+        for res in resources:
+            if res.id in core.busy:
+                continue
+            tid = core.select(res.id)
+            if tid is None:
+                continue
+            dur = cost.duration_ns(g.tasks[tid], res)
+            if dur <= 0:
+                raise ValueError("cost model produced a non-positive duration")
+            heapq.heappush(running, (now + dur, res.id, tid, now))
+        now = running[0][0]
+        while running and running[0][0] == now:
+            _, rid, tid, start = heapq.heappop(running)
+            core.complete(rid, tid, start, now)
+    return now, core

@@ -5,19 +5,23 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ampsched import sim
+from ampsched import runtime, sim
 from ampsched.dense import BlockedMatrix, make_spd
-from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, STALLED, TABLE3_MS,
-                              VC, VC_POLICY, Policy, SchedulerCore,
-                              default_priority_cost, make_workers, run)
+from ampsched.runtime import (CATS, FAST, OBLIVIOUS, POLICIES, SLOW, STALLED,
+                              TABLE3_MS, VC, VC_POLICY, Policy, ReadyPool,
+                              SchedulerCore, default_priority_cost,
+                              make_workers, run)
 from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
                           Table3CostModel, lower_bounds, preset_exynos5422,
                           simulate)
-from ampsched.taskgraph import (TaskGraphBuilder, TaskKind, build_cholesky_dag,
-                                task_counts)
+from ampsched.taskgraph import (TaskGraphBuilder, TaskKind, bottom_levels,
+                                build_cholesky_dag, task_counts)
 from ampsched.trace import Trace, TraceEvent, idle_stats, kind_stats
 from conftest import FixedCostModel, check_trace_legality, random_task_graph
+from oracles import tick_simulate
 
 
 def chain_graph(length):
@@ -254,14 +258,23 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(g, vc_machine, cost, Policy(OBLIVIOUS))
 
-    def test_rejects_non_positive_duration(self):
-        class ZeroCost:  # FixedCostModel refuses such a table itself
+    def test_rejects_non_positive_duration(self, monkeypatch):
+        class ZeroOnSlowG:  # FixedCostModel refuses such a table itself
             def duration_ns(self, task, resource):
-                return 0
+                return 0 if (resource.kind, task.kind) == (SLOW, TaskKind.G) else 5
 
-        machine = MachineModel(((FAST, 1.0),))
-        with pytest.raises(ValueError, match="non-positive duration"):
-            simulate(chain_graph(2), machine, ZeroCost(), Policy(OBLIVIOUS))
+        selects = []
+        orig = ReadyPool.select
+        monkeypatch.setattr(ReadyPool, "select", lambda pool, *a: (
+            selects.append(a), orig(pool, *a))[1])
+        # In the second case the fast core 0 runs the one-task chain, so the
+        # slow core never dispatches the pair priced 0; the table rejects it.
+        for cores, length, cost in [(((FAST, 1.0),), 2, ZeroCost()),
+                                    (((FAST, 1.0), (SLOW, 1.0)), 1, ZeroOnSlowG())]:
+            with pytest.raises(ValueError, match="non-positive duration"):
+                simulate(chain_graph(length), MachineModel(cores), cost,
+                         Policy(OBLIVIOUS))
+        assert selects == []  # each raised before its first dispatch
 
     def test_cats_needs_fast_resource(self):
         g = build_cholesky_dag(2)
@@ -308,6 +321,137 @@ def _outcome(call):
     except ValueError as exc:
         return str(exc)
     return None
+
+
+class ById:
+    """Durations per resource id and task kind, so that workers of one kind
+    differ: table[resource id][kind] ns."""
+
+    def __init__(self, table: list):
+        self.table = table
+
+    def duration_ns(self, task, resource) -> int:
+        return self.table[resource.id][task.kind]
+
+
+def drained(g, machine, cost, policy):
+    """simulate's makespan and trace, and its core's records and counts
+    after the run, or STALLED."""
+    seen = []
+    orig = SchedulerCore.trace
+
+    def trace(core, *args):
+        seen.append((list(core.records), set(core.busy), core.idle_fast))
+        return orig(core, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SchedulerCore, "trace", trace)
+        try:
+            res = simulate(g, machine, cost, policy)
+        except RuntimeError as exc:
+            assert str(exc) == STALLED
+            return STALLED
+    return res.makespan_ns, res.trace, seen[0]
+
+
+def ticked(g, machine, cost, policy):
+    """drained() of the per-tick oracle."""
+    try:
+        now, core = tick_simulate(g, machine, cost, policy)
+    except RuntimeError as exc:
+        assert str(exc) == STALLED
+        return STALLED
+    return (now, core.trace(0, now),
+            (core.records, core.busy, core.idle_fast))
+
+
+class TestEventLoopMatchesTickOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(POLICIES), by_id=st.booleans(),
+           threshold=st.floats(0.0, 1.0),
+           stealing=st.sampled_from(["none", "uni", "bi"]))
+    def test_same_records_makespan_and_stalls(self, data, seed, kind, by_id,
+                                              threshold, stealing):
+        g = random_task_graph(np.random.default_rng(seed))
+        if kind == VC_POLICY:
+            pairs = data.draw(st.integers(1, 4))
+            machine = MachineModel(((FAST, 2.0),) * pairs
+                                   + ((SLOW, 1.0),) * pairs, VC_VIEW)
+        else:
+            cores = data.draw(st.permutations(
+                [FAST] * data.draw(st.integers(1, 4))
+                + [SLOW] * data.draw(st.integers(0, 4))))
+            machine = MachineModel(tuple((c, 1.0) for c in cores))
+        # Small integers, so that tasks end together and ties decide.
+        row = st.fixed_dictionaries({k: st.integers(1, 3) for k in TaskKind})
+        if by_id:
+            cost = ById([data.draw(row) for _ in machine.resources()])
+        else:
+            cost = FixedCostModel({k: data.draw(row) for k in (FAST, SLOW, VC)})
+        policy = Policy(kind, threshold, stealing)
+        assert drained(g, machine, cost, policy) == ticked(g, machine, cost,
+                                                           policy)
+
+
+class TestRankMemo:
+    MACHINE = MachineModel(((FAST, 1.0), (FAST, 1.0), (SLOW, 1.0)))
+    # Ranks differ between the tables: C is cheap under one, dear under
+    # the other.
+    TABLES = [FixedCostModel({FAST: {TaskKind.C: 1, TaskKind.T: 5,
+                                     TaskKind.S: 5, TaskKind.G: 9},
+                              SLOW: 20}),
+              FixedCostModel({FAST: {TaskKind.C: 40, TaskKind.T: 2,
+                                     TaskKind.S: 3, TaskKind.G: 2},
+                              SLOW: 20})]
+
+    @staticmethod
+    def ranks(g, cost, machine=MACHINE):
+        return SchedulerCore(g, Policy(CATS, 0.5), machine.resources(),
+                             cost).pool.priorities
+
+    def test_two_tables_on_one_graph_match_fresh_graphs(self):
+        g = build_cholesky_dag(6)
+        policy = Policy(CATS, 0.5)
+        fresh = [simulate(build_cholesky_dag(6), self.MACHINE, c, policy)
+                 for c in self.TABLES]
+        assert self.ranks(g, self.TABLES[0]) != self.ranks(g, self.TABLES[1])
+        for cost, want in zip(self.TABLES * 2, fresh * 2):
+            got = simulate(g, self.MACHINE, cost, policy)
+            assert (got.makespan_ns, got.trace) == (want.makespan_ns,
+                                                    want.trace)
+            assert self.ranks(g, cost) == self.ranks(build_cholesky_dag(6),
+                                                     cost)
+
+    def test_task_added_after_a_run_is_ranked(self):
+        b = TaskGraphBuilder()
+        b.register_task(TaskKind.C, reads=(), write=(0, 0))
+        b.register_task(TaskKind.T, reads={(0, 0)}, write=(0, 1))
+        g = b.build()
+        cost = self.TABLES[0]
+        simulate(g, self.MACHINE, cost, Policy(CATS))
+        b.register_task(TaskKind.G, reads={(0, 1)}, write=(1, 1))
+        assert self.ranks(g, cost) == bottom_levels(
+            g, lambda t: cost.duration_ns(t, Resource(0, FAST)))
+        res = simulate(g, self.MACHINE, cost, Policy(CATS))
+        assert sorted(e.task for e in res.trace.events) == [0, 1, 2]
+
+    def test_run_and_simulate_rank_once_per_table(self, monkeypatch):
+        calls = []
+        orig = runtime.bottom_levels
+        monkeypatch.setattr(runtime, "bottom_levels", lambda *a: (
+            calls.append(a), orig(*a))[1])
+        g = build_cholesky_dag(2)
+        native = Table3CostModel(4)  # run() ranks by these at b=4
+        for _ in range(2):
+            bm = BlockedMatrix.from_matrix(make_spd(8, 1), 4)
+            run(g, bm, Policy(CATS), make_workers(CATS, 2))
+            simulate(g, *preset_exynos5422(GTS, 4), Policy(CATS))
+        assert len(calls) == 1
+        for _ in range(2):
+            simulate(g, self.MACHINE, self.TABLES[1], Policy(CATS))
+        assert len(calls) == 2
+        assert native.table == preset_exynos5422(GTS, 4)[1].table
 
 
 class TestWorkerKindRule:
