@@ -80,7 +80,7 @@ def tick_simulate(g, machine, cost, policy) -> tuple[int, SchedulerCore]:
     cost.duration_ns call per task; entries ending together complete
     through SchedulerCore.complete in resource-id order.
     """
-    resources = sorted(machine.resources(), key=lambda r: r.id)
+    resources = machine.resources()  # in id order
     core = SchedulerCore(g, policy, resources, cost)
     running = []  # (finish, rid, tid, start)
     now = 0
