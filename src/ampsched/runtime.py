@@ -16,13 +16,13 @@ matches a policy to the workers' kinds, the idle fast-worker count that
 CATS stealing reads, the stall error (STALLED) and one (worker, task,
 start, end) record per completed task, whose count orders enable events.
 run() drives it from worker threads through select() and complete(); the
-simulator in :mod:`ampsched.sim` runs the core's own event loop, drain(),
-the same protocol with its counts in locals. Each VC worker keeps one
-slow-lane thread (kernels.lane_pair, a one-thread executor) for the whole
-run, and numpy's and scipy's OpenBLAS pools are held at one thread while
-the workers run. A failure in any worker stops all workers and is
-re-raised by run() with the partial trace attached. Trace.collect builds
-the trace events once, from the core's records.
+simulator in :mod:`ampsched.sim` runs its event loop, drain(), the same
+protocol with the counts in locals. Each VC worker keeps one slow-lane
+thread (kernels.lane_pair, a one-thread executor) for the whole run, and
+numpy's and scipy's OpenBLAS pools are held at one thread while the
+workers run. A failure in any worker stops all workers and is re-raised
+by run() with the partial trace attached. Trace.collect builds the trace
+events once, from the core's records.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 from . import dense, kernels
 from .dense import BlockedMatrix, NotPositiveDefiniteError
-from .taskgraph import Task, TaskGraph, TaskKind, bottom_levels, task_counts
+from .taskgraph import Task, TaskGraph, TaskKind, kind_bottom_levels, task_counts
 from .trace import Trace, TraceEvent  # noqa: F401 (re-exported)
 
 FAST = "fast"
@@ -105,20 +105,17 @@ class Table3CostModel:
         return self.table[resource.kind][task.kind]
 
 
-def duration_table(g: TaskGraph, resources: list[Resource],
-                   cost) -> dict[int, dict[TaskKind, int]]:
-    """Each resource id mapped to each task kind of g's duration on it, one
-    probe per (resource, kind) pair: the cost-model contract prices a task
-    by its kind and the resource alone."""
+def fastest_ns(g: TaskGraph, resources: list[Resource],
+               cost) -> dict[TaskKind, int]:
+    """Each task kind of g mapped to its duration on its fastest resource.
+
+    Relies on the cost-model contract: a task is priced by its kind and
+    the resource alone, so one task of each kind stands for all of them
+    and each (kind, resource) pair is probed once.
+    """
     sample = {t.kind: t for t in g.tasks}
-    return {r.id: {kind: cost.duration_ns(t, r) for kind, t in sample.items()}
-            for r in resources}
-
-
-def fastest_ns(g: TaskGraph, resources: list[Resource], cost) -> dict[TaskKind, int]:
-    """Each task kind of g mapped to its duration on its fastest resource."""
-    rows = list(duration_table(g, resources, cost).values())
-    return {kind: min(row[kind] for row in rows) for kind in rows[0]}
+    return {kind: min(cost.duration_ns(t, r) for r in resources)
+            for kind, t in sample.items()}
 
 
 @dataclass(frozen=True)
@@ -223,25 +220,26 @@ class SchedulerCore:
     count orders enable events. Deterministic and not thread-safe: run()
     calls it under its condition variable, simulate() runs drain().
 
-    workers are the resources, all idle at first; the core keeps their
-    id -> kind map. ValueError unless there is at least one worker, the
+    workers are the resources, all idle at first; the core keeps them and
+    their kinds by id. ValueError unless there is at least one worker, the
     ids are distinct and the policy suits the kinds: the VC policy iff
     every kind is VC (VC pairs, the VC machine view), oblivious and CATS
     on fast/slow lanes only, and CATS with at least one fast lane. CATS
     ranks tasks by bottom levels over each kind's duration on the fastest
     fast worker under the cost model (a duration_ns(task, resource)
-    object), without which the ReadyPool raises ValueError; g memoizes
-    them by task count and durations, so repeated runs rank it once.
+    object), without which the ReadyPool raises ValueError; g keeps the
+    latest ranking (kind_bottom_levels), so repeated runs rank it once.
     """
 
     def __init__(self, g: TaskGraph, policy: Policy, workers: list[Resource],
                  cost=None):
         if not workers:
             raise ValueError("at least one worker is required")
-        self.workers = {w.id: w.kind for w in workers}
+        self.resources = {w.id: w for w in workers}
+        self.workers = {i: w.kind for i, w in self.resources.items()}
         if len(self.workers) != len(workers):
             raise ValueError("worker ids must be distinct")
-        kinds = set(self.workers.values())
+        self.kinds = kinds = set(self.workers.values())
         if (policy.kind == VC_POLICY) != (kinds == {VC}):
             raise ValueError("VC policy requires the VC machine view and vice versa")
         if policy.kind != VC_POLICY and not kinds <= {FAST, SLOW}:
@@ -252,9 +250,7 @@ class SchedulerCore:
         priorities = None
         if policy.kind == CATS and cost is not None:
             fast = fastest_ns(g, [w for w in workers if w.kind == FAST], cost)
-            key = (len(g.tasks), frozenset(fast.items()))  # g may still grow
-            ranks = g._ranks.get(key) or bottom_levels(g, lambda t: fast[t.kind])
-            priorities = g._ranks[key] = ranks
+            priorities = kind_bottom_levels(g, fast)
         self.pool = ReadyPool(policy, priorities)
         self.indegree = list(g.indegree)
         self.busy: set[int] = set()
@@ -287,8 +283,7 @@ class SchedulerCore:
 
     def _raise_if_stalled(self, idle_fast: int) -> None:
         """STALLED unless some worker kind may take a ready task now."""
-        if not any(self.pool.can_select(k, idle_fast)
-                   for k in set(self.workers.values())):
+        if not any(self.pool.can_select(k, idle_fast) for k in self.kinds):
             raise RuntimeError(STALLED)
 
     def complete(self, worker_id: int, tid: int, start_ns: int,
@@ -302,19 +297,15 @@ class SchedulerCore:
             if self.indegree[succ] == 0:
                 self.pool.push(succ, len(self.records))
 
-    def drain(self, durations: dict[int, dict[TaskKind, int]]) -> int:
-        """Run a fresh core's tasks in simulated time; return the makespan, ns.
-
-        durations[worker id][kind] prices each task. Each pass selects for
-        the idle workers in ascending id order, then the earliest ends
-        complete in (end, worker id) order: select() and complete() with
-        the counts in locals, so busy, idle_fast and records end the same.
-        ValueError before any dispatch if a duration is not positive."""
-        if any(ns <= 0 for row in durations.values() for ns in row.values()):
-            raise ValueError("cost model produced a non-positive duration")
+    def drain(self, cost) -> int:
+        """Run a fresh core in simulated time; return the makespan, ns. Each
+        pass selects for the idle workers in ascending id order, prices each
+        pick by cost.duration_ns (ValueError unless positive), then completes
+        the earliest ends in (end, worker id) order: select() and complete()
+        with the counts in locals, so the core ends the same."""
         tasks, successors, indegree = self.g.tasks, self.g.successors, self.indegree
-        records, select, push, kinds = (self.records, self.pool.select,
-                                        self.pool.push, self.workers)
+        records, select, push = self.records, self.pool.select, self.pool.push
+        kinds, by_id, duration = self.workers, self.resources, cost.duration_ns
         idle, running, idle_fast, now = sorted(kinds), [], self.idle_fast, 0
         while len(records) < len(tasks):
             waiting = []
@@ -326,8 +317,10 @@ class SchedulerCore:
                     waiting.append(w)
                     continue
                 idle_fast -= kinds[w] == FAST
-                heapq.heappush(running, (now + durations[w][tasks[tid].kind],
-                                         w, tid, now))
+                dur = duration(tasks[tid], by_id[w])
+                if dur <= 0:
+                    raise ValueError("cost model produced a non-positive duration")
+                heapq.heappush(running, (now + dur, w, tid, now))
             idle, now = waiting, running[0][0]
             while running and running[0][0] == now:
                 _, w, tid, start = heapq.heappop(running)

@@ -10,12 +10,12 @@ integer nanoseconds; each pass visits the idle resources in ascending id
 order, so identical inputs give bitwise identical results, recorded as
 the same Trace (:mod:`ampsched.trace`) that a native run gives.
 
-A cost model is any object with ``duration_ns(task, resource)`` that
-prices a task by its kind and the resource alone, so a replay probes it
-once per (resource, kind) pair (runtime.duration_table); CATS ranks and
-the lower bounds take each kind's fastest entry (fastest_ns). Resources,
-the Table 3 cost model and fastest_ns are the runtime's own, re-exported
-here. Replays pause the cyclic collector.
+A cost model is any object with ``duration_ns(task, resource)``, and it
+prices a task by its kind and the resource alone. So the core, ranking
+CATS tasks, and the lower bounds probe it once per (task kind, resource)
+pair (runtime.fastest_ns), while drain() asks it once per dispatched
+task. Resources, the Table 3 cost model and fastest_ns are the runtime's
+own, re-exported here. Replays pause the cyclic collector.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .runtime import (FAST, SLOW, TABLE3_BLOCK, TABLE3_MS, VC, Policy,
-                      Resource, SchedulerCore, Table3CostModel,
-                      duration_table, fastest_ns)
+                      Resource, SchedulerCore, Table3CostModel, fastest_ns)
 from .taskgraph import (Task, TaskGraph, TaskKind, _collector_paused,
                         critical_path)
 from .trace import Trace, idle_stats
@@ -127,9 +126,8 @@ class SimResult:
 def simulate(g: TaskGraph, machine: MachineModel, cost,
              policy: Policy) -> SimResult:
     """Event-driven replay of g on the modeled machine. Fully deterministic."""
-    resources = machine.resources()
-    core = SchedulerCore(g, policy, resources, cost)
-    now = core.drain(duration_table(g, resources, cost))
+    core = SchedulerCore(g, policy, machine.resources(), cost)
+    now = core.drain(cost)
     return SimResult(now, core.trace(0, now))
 
 

@@ -67,7 +67,7 @@ class TaskGraph:
     tasks: list[Task]
     successors: list[list[int]]  # successors[p]: each q after p, ascending
     indegree: list[int]  # indegree[q]: the number of such p
-    _ranks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _ranks: tuple = field(default=(), init=False, compare=False, repr=False)
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -153,6 +153,15 @@ def bottom_levels(g: TaskGraph, cost: Callable[[Task], float]) -> list[float]:
         if succ:
             bl[tid] += max(map(get, succ))
     return bl
+
+
+def kind_bottom_levels(g: TaskGraph, ns: dict[TaskKind, float]) -> list[float]:
+    """bottom_levels(g), each task costing ns[its kind]; g keeps the latest
+    result by ns and task count (a builder may still add tasks to g)."""
+    key = (len(g.tasks), frozenset(ns.items()))
+    if not g._ranks or g._ranks[0] != key:
+        g._ranks = (key, bottom_levels(g, lambda t: ns[t.kind]))
+    return g._ranks[1]
 
 
 def critical_path(g: TaskGraph, cost: Callable[[Task], float]) -> float:

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ampsched import runtime, sim
+from ampsched import sim, taskgraph
 from ampsched.dense import BlockedMatrix, make_spd
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, POLICIES, SLOW, STALLED,
-                              TABLE3_MS, VC, VC_POLICY, Policy, ReadyPool,
-                              SchedulerCore, default_priority_cost,
-                              make_workers, run)
+                              TABLE3_MS, VC, VC_POLICY, Policy, SchedulerCore,
+                              default_priority_cost, make_workers, run)
 from ampsched.sim import (GTS, VC_VIEW, FlopsCostModel, MachineModel, Resource,
                           Table3CostModel, lower_bounds, preset_exynos5422,
                           simulate)
@@ -258,23 +257,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(g, vc_machine, cost, Policy(OBLIVIOUS))
 
-    def test_rejects_non_positive_duration(self, monkeypatch):
-        class ZeroOnSlowG:  # FixedCostModel refuses such a table itself
+    def test_rejects_non_positive_duration(self):
+        class ZeroCost:  # FixedCostModel refuses such a table itself
             def duration_ns(self, task, resource):
-                return 0 if (resource.kind, task.kind) == (SLOW, TaskKind.G) else 5
+                return 0
 
-        selects = []
-        orig = ReadyPool.select
-        monkeypatch.setattr(ReadyPool, "select", lambda pool, *a: (
-            selects.append(a), orig(pool, *a))[1])
-        # In the second case the fast core 0 runs the one-task chain, so the
-        # slow core never dispatches the pair priced 0; the table rejects it.
-        for cores, length, cost in [(((FAST, 1.0),), 2, ZeroCost()),
-                                    (((FAST, 1.0), (SLOW, 1.0)), 1, ZeroOnSlowG())]:
-            with pytest.raises(ValueError, match="non-positive duration"):
-                simulate(chain_graph(length), MachineModel(cores), cost,
-                         Policy(OBLIVIOUS))
-        assert selects == []  # each raised before its first dispatch
+        machine = MachineModel(((FAST, 1.0),))
+        with pytest.raises(ValueError, match="non-positive duration"):
+            simulate(chain_graph(2), machine, ZeroCost(), Policy(OBLIVIOUS))
 
     def test_cats_needs_fast_resource(self):
         g = build_cholesky_dag(2)
@@ -438,8 +428,8 @@ class TestRankMemo:
 
     def test_run_and_simulate_rank_once_per_table(self, monkeypatch):
         calls = []
-        orig = runtime.bottom_levels
-        monkeypatch.setattr(runtime, "bottom_levels", lambda *a: (
+        orig = taskgraph.bottom_levels
+        monkeypatch.setattr(taskgraph, "bottom_levels", lambda *a: (
             calls.append(a), orig(*a))[1])
         g = build_cholesky_dag(2)
         native = Table3CostModel(4)  # run() ranks by these at b=4
@@ -451,6 +441,8 @@ class TestRankMemo:
         for _ in range(2):
             simulate(g, self.MACHINE, self.TABLES[1], Policy(CATS))
         assert len(calls) == 2
+        simulate(g, *preset_exynos5422(GTS, 4), Policy(CATS))
+        assert len(calls) == 3  # g keeps only its latest ranking
         assert native.table == preset_exynos5422(GTS, 4)[1].table
 
 
