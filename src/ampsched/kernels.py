@@ -23,14 +23,15 @@ The dual-lane (fast+slow) variants share the slabs between the calling
 thread and a persistent slow-lane thread (LanePair, a one-thread
 executor) through one deque of slab starts: the caller takes slabs from
 the front and the lane thread from the back, one at a time, so the pair
-balances itself without a speed ratio, as a dynamic scheduler does. A
-call with a single slab (at most 128 rows or columns) runs on the caller
-alone. Which lane computes a slab never changes how it is computed, so
-the asymmetric kernels are bitwise identical to the sequential ones and
-the factorization is bitwise independent of the schedule. Nothing relies
-on a BLAS call giving the same bits when it is cut at a different place.
+balances itself without a speed ratio, as a dynamic scheduler does.
 Inside ``lane_pair()`` every dual-lane call of the thread reuses one
-pair; outside it, a call makes a pair for itself.
+pair; outside it, a call makes a pair for itself. A single-slab call (at
+most 128 rows or columns) is one slab-helper call on the caller, with no
+handoff and no closure, on the whole block unsliced. Which lane computes
+a slab never changes how it is computed, so the asymmetric kernels are
+bitwise identical to the sequential ones and the factorization is
+bitwise independent of the schedule; nothing relies on a BLAS call
+giving the same bits when it is cut at a different place.
 """
 
 from __future__ import annotations
@@ -65,12 +66,14 @@ def _capsule_pointer(capsule) -> int:
 
 
 # scipy's nogil dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b,
-# ldb), LP64 int. A CFUNCTYPE call releases the GIL while it runs. Every
-# argument is passed as an address.
-_dtrsm = ctypes.CFUNCTYPE(None, *[ctypes.c_char_p] * 4, *[ctypes.c_void_p] * 7)(
-    _capsule_pointer(cython_blas.__pyx_capi__["dtrsm"]))
-_ONE = ctypes.c_double(1.0)  # alpha; only ever read
-_ONE_P = ctypes.addressof(_ONE)
+# ldb), LP64 int; a CFUNCTYPE call releases the GIL. It declares no argtypes,
+# whose conversions add about 1 us a call: every argument is bytes or a
+# ctypes array, which ctypes passes as its data address.
+_dtrsm = ctypes.CFUNCTYPE(None)(_capsule_pointer(cython_blas.__pyx_capi__["dtrsm"]))
+_ONE = (ctypes.c_double * 1)(1.0)  # alpha; only ever read
+_int = cache(lambda v: (ctypes.c_int * 1)(v))  # shared; dtrsm only reads them
+_F8 = np.dtype(np.float64)
+_AT = ctypes.c_char * 0  # _AT.from_buffer(x.T, offset): x's data address + offset
 
 
 @cache
@@ -138,6 +141,9 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     # The product is formed as (B^T A[:, s:e])^T, an F-order view, so the
     # subtraction walks C's F-order row slab along its columns. np.dot
     # releases the GIL and costs less per tiny call than dgemm via ctypes.
+    if hi - lo == len(c) <= MICRO_SLAB:  # the whole block, unsliced
+        c -= np.dot(b.T, a).T
+        return
     for s in range(lo, hi, MICRO_SLAB):
         e = min(s + MICRO_SLAB, hi)
         c[s:e] -= np.dot(b.T, a[:, s:e]).T
@@ -146,22 +152,24 @@ def _gemm_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def _syrk_rows(a: np.ndarray, c: np.ndarray, lo: int, hi: int) -> None:
     # C[lo:hi] -= A[:, lo:hi]^T A as _gemm_rows, but each slab [s, e) only
     # on columns s onward: the upper triangle, as dsyrk's uplo='U'.
+    if hi - lo == len(c) <= MICRO_SLAB:  # the whole block, unsliced
+        c -= np.dot(a.T, a).T
+        return
     for s in range(lo, hi, MICRO_SLAB):
         e = min(s + MICRO_SLAB, hi)
         c[s:e, s:] -= np.dot(a[:, s:].T, a[:, s:e]).T
 
 
-def _trsm_cols(op: tuple, lo: int, hi: int) -> None:
+def _trsm_cols(rows, ld, u, bt, stride: int, lo: int, hi: int) -> None:
     # Solve U^T X = B on columns [lo, hi) in place, one dtrsm('L', 'U',
-    # 'T', 'N') per slab. op is _check_trsm's per-call plumbing; width is
-    # made here, so the two lanes of a dual-lane call never share it.
-    _, rows_p, ld_p, u_p, b_p, stride = op
-    width = ctypes.c_int()
-    width_p = ctypes.addressof(width)
+    # 'T', 'N') per slab, on the operands _check_trsm returns.
+    if hi - lo == len(bt) <= MICRO_SLAB:  # the whole block, unsliced
+        _dtrsm(b"L", b"U", b"T", b"N", rows, _int(hi), _ONE, u, ld,
+               _AT.from_buffer(bt), ld)
+        return
     for s in range(lo, hi, MICRO_SLAB):
-        width.value = min(s + MICRO_SLAB, hi) - s
-        _dtrsm(b"L", b"U", b"T", b"N", rows_p, width_p, _ONE_P,
-               u_p, ld_p, b_p + stride * s, ld_p)
+        _dtrsm(b"L", b"U", b"T", b"N", rows, _int(min(s + MICRO_SLAB, hi) - s),
+               _ONE, u, ld, _AT.from_buffer(bt, stride * s), ld)
 
 
 class LanePair(ThreadPoolExecutor):
@@ -209,13 +217,9 @@ def _run_lanes(m: int, run_range) -> None:
     """Run run_range over the slabs of [0, m), one call per slab, on two lanes.
 
     The slab starts sit in one deque: the caller pops from the front and
-    the lane thread from the back, one slab per lock hold. A single slab
-    (m <= MICRO_SLAB) runs on the caller with no handoff. A lane failure
+    the lane thread from the back, one slab per lock hold. A lane failure
     empties the deque and is re-raised once both lanes have stopped.
     """
-    if m <= MICRO_SLAB:
-        run_range(0, m)
-        return
     starts = deque(range(0, m, MICRO_SLAB))
     lock = threading.Lock()  # one slab is handed out at a time
 
@@ -254,12 +258,14 @@ def gemm_blocked(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def gemm_asym(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Dual-lane C := C - A^T B. Bitwise identical to gemm_blocked.
 
-    The row slabs of C are shared out as in _run_lanes; each lane updates
-    the slabs it takes while both read A and B, and the lanes join before
-    returning.
+    Row slabs of C are shared out as in _run_lanes: each lane updates the
+    slabs it takes, both read A and B, and the lanes join before returning.
     """
     m = _check_gemm_shapes(a, b, c)
-    _run_lanes(m, partial(_gemm_rows, a, b, c))
+    if m <= MICRO_SLAB:  # one slab: the caller alone, no handoff
+        _gemm_rows(a, b, c, 0, m)
+    else:
+        _run_lanes(m, partial(_gemm_rows, a, b, c))
     return c
 
 
@@ -279,33 +285,32 @@ def syrk_asym(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     Bitwise identical to syrk_blocked, with the same upper-only contract.
     """
     m = _check_gemm_shapes(a, a, c)
-    _run_lanes(m, partial(_syrk_rows, a, c))
+    if m <= MICRO_SLAB:  # one slab: the caller alone, no handoff
+        _syrk_rows(a, c, 0, m)
+    else:
+        _run_lanes(m, partial(_syrk_rows, a, c))
     return c
 
 
 def _check_trsm(u: np.ndarray, b: np.ndarray) -> tuple:
-    """Validate trsm operands; returns the _trsm_cols plumbing for one call.
+    """Validate trsm operands; returns the _trsm_cols operands for one call.
 
     B is solved in place by BLAS, so it must already be a writable
-    Fortran-contiguous float64 array. The plumbing holds U as a
-    Fortran-contiguous float64 array, the dtrsm row count and leading
-    dimension, and the addresses of all three and of B.
+    Fortran-contiguous float64 array.
     """
     n = u.shape[0]
     if u.shape[1] != n or b.shape[0] != n:
         raise ValueError(f"nonconformal trsm operands {u.shape} {b.shape}")
-    if (b.dtype != np.float64 or not b.flags.f_contiguous
-            or not b.flags.writeable):
+    flags = b.flags
+    if b.dtype != _F8 or not (flags.f_contiguous and flags.writeable):
         raise ValueError("trsm solves B in place: B must be a writable "
                          "Fortran-contiguous float64 array")
-    diag = np.diagonal(u)
-    if not diag.all():
-        raise SingularTriangularError(int(np.flatnonzero(diag == 0.0)[0]))
-    u = np.asfortranarray(u, dtype=np.float64)
-    dims = (ctypes.c_int * 2)(n, max(n, 1))  # rows, leading dimension
-    rows_p = ctypes.addressof(dims)
-    return ((dims, u), rows_p, rows_p + ctypes.sizeof(ctypes.c_int),
-            u.ctypes.data, b.ctypes.data, 8 * dims[1])
+    diag = u.diagonal().tolist()  # NaN is not zero, as in ndarray.all()
+    if 0.0 in diag:
+        raise SingularTriangularError(diag.index(0.0))
+    u = np.asfortranarray(u, dtype=_F8)
+    return (_int(n), _int(n or 1), _AT.from_buffer(u.T) if u.flags.writeable
+            else u.ctypes, b.T, 8 * n)
 
 
 def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,7 +320,7 @@ def trsm_blocked(u: np.ndarray, b: np.ndarray) -> np.ndarray:
     layout. A zero on U's diagonal raises SingularTriangularError before
     B is written.
     """
-    _trsm_cols(_check_trsm(u, b), 0, b.shape[1])
+    _trsm_cols(*_check_trsm(u, b), 0, b.shape[1])
     return b
 
 
@@ -324,6 +329,10 @@ def trsm_asym(u: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Bitwise identical to trsm_blocked, with the same operand rules.
     """
-    _run_lanes(b.shape[1], partial(_trsm_cols, _check_trsm(u, b)))
+    m, op = b.shape[1], _check_trsm(u, b)
+    if m <= MICRO_SLAB:  # one slab: the caller alone, no handoff
+        _trsm_cols(*op, 0, m)
+    else:
+        _run_lanes(m, partial(_trsm_cols, *op))
     return b
 

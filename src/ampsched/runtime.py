@@ -8,21 +8,18 @@ Three scheduling policies are supported:
 * VC — one worker per fast+slow virtual-core pair, each task internally
   split across the pair by the asymmetric kernels.
 
-The dispatch protocol lives in one deterministic core, SchedulerCore: the
-indegree counters (the last completing predecessor enables a successor),
-the two-heap ReadyPool with its CATS ranks from a cost model, the checks
-on the worker list (one Resource record per worker), the rule that
-matches a policy to the workers' kinds, the idle fast-worker count that
-CATS stealing reads, the stall error (STALLED) and one (worker, task,
-start, end) record per completed task, whose count orders enable events.
-run() drives it from worker threads through select() and complete(); the
-simulator in :mod:`ampsched.sim` runs its event loop, drain(), the same
-protocol with the counts in locals. Each VC worker keeps one slow-lane
-thread (kernels.lane_pair, a one-thread executor) for the whole run, and
+The dispatch protocol, from indegree release to the stall error (STALLED)
+and one (worker, task, start, end) record per completed task, lives in
+one deterministic core, SchedulerCore; the simulator in
+:mod:`ampsched.sim` runs it through drain(). run() drives it from worker
+threads, each of which completes a task and selects its next in one hold
+of the scheduler lock. A completion wakes the waiters only if one waits
+and a task is ready or the run is done, and then wakes all of them, lest
+a CATS worker that may not take the new task swallow the wakeup. Each VC
+worker keeps one slow-lane thread (kernels.lane_pair) for the whole run;
 numpy's and scipy's OpenBLAS pools are held at one thread while the
 workers run. A failure in any worker stops all workers and is re-raised
-by run() with the partial trace attached. Trace.collect builds the trace
-events once, from the core's records.
+by run() with the partial trace attached.
 """
 
 from __future__ import annotations
@@ -110,10 +107,13 @@ def fastest_ns(g: TaskGraph, resources: list[Resource],
     """Each task kind of g mapped to its duration on its fastest resource.
 
     Relies on the cost-model contract: a task is priced by its kind and
-    the resource alone, so one task of each kind stands for all of them
-    and each (kind, resource) pair is probed once.
+    the resource alone, so the first task of each kind stands for all of
+    them and each (kind, resource) pair is probed once.
     """
-    sample = {t.kind: t for t in g.tasks}
+    sample: dict[TaskKind, Task] = {}
+    for t in g.tasks:  # stops once every kind is seen
+        if sample.setdefault(t.kind, t) is t and len(sample) == len(TaskKind):
+            break
     return {kind: min(cost.duration_ns(t, r) for r in resources)
             for kind, t in sample.items()}
 
@@ -218,7 +218,7 @@ class SchedulerCore:
     Owns the indegree counters, the ready pool, the busy workers and one
     (worker, task id, start_ns, end_ns) record per completed task, whose
     count orders enable events. Deterministic and not thread-safe: run()
-    calls it under its condition variable, simulate() runs drain().
+    calls it under its scheduler lock, simulate() runs drain().
 
     workers are the resources, all idle at first; the core keeps them and
     their kinds by id. ValueError unless there is at least one worker, the
@@ -272,13 +272,14 @@ class SchedulerCore:
         ready task before the run is done: nothing can become ready then
         (e.g. CATS without stealing and no slow lane).
         """
-        kind = self.workers[worker_id]
-        tid = self.pool.select(kind, self.idle_fast)
+        kind, idle_fast = self.workers[worker_id], self.idle_fast
+        tid = self.pool.select(kind, idle_fast)
         if tid is not None:
             self.busy.add(worker_id)
-            self.idle_fast -= kind == FAST
+            if kind == FAST:
+                self.idle_fast = idle_fast - 1
         elif not self.busy and not self.done:
-            self._raise_if_stalled(self.idle_fast)
+            self._raise_if_stalled(idle_fast)
         return tid
 
     def _raise_if_stalled(self, idle_fast: int) -> None:
@@ -290,12 +291,14 @@ class SchedulerCore:
                  end_ns: int) -> None:
         """Record worker's run of tid, mark it idle, enable what tid released."""
         self.busy.remove(worker_id)
-        self.idle_fast += self.workers[worker_id] == FAST
+        if self.workers[worker_id] == FAST:
+            self.idle_fast += 1
         self.records.append((worker_id, tid, start_ns, end_ns))
+        indegree, push, seq = self.indegree, self.pool.push, len(self.records)
         for succ in self.g.successors[tid]:
-            self.indegree[succ] -= 1
-            if self.indegree[succ] == 0:
-                self.pool.push(succ, len(self.records))
+            indegree[succ] -= 1
+            if not indegree[succ]:
+                push(succ, seq)
 
     def drain(self, cost) -> int:
         """Run a fresh core in simulated time; return the makespan, ns. Each
@@ -377,18 +380,28 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
         raise ValueError(f"a {len(g.tasks)}-task graph does not match the "
                          f"{bm.s}x{bm.s} block grid of the matrix")
     core = SchedulerCore(g, policy, workers, Table3CostModel(bm.b))
-    cond = threading.Condition(threading.Lock())
-    state = {"error": None}
+    cond = threading.Condition(lock := threading.Lock())  # hot path: lock, not cond
+    error, waiting = None, 0  # under lock: the first failure, cond waiters
+    tasks, records, ntasks, blk = g.tasks, core.records, len(g.tasks), bm.blocks
+    select, complete, pool = core.select, core.complete, core.pool
+    clock, (G, T, S) = time.perf_counter_ns, (TaskKind.G, TaskKind.T, TaskKind.S)
 
-    def body(task: Task, worker: Resource) -> None:
-        blk = bm.blocks
-        k, i, j = task.k, task.i, task.j
+    def body(task: Task, worker: Resource, vc: bool) -> None:
         if task_hook is not None:
             task_hook(task, worker)
-        # VC pairs split each call across both lanes; lane workers run
-        # the sequential kernel.
-        vc = worker.kind == VC
-        if task.kind == TaskKind.C:
+        # G first, as most tasks are G tasks. VC pairs split each call
+        # across both lanes; lane workers run the sequential kernel.
+        kind, k, i, j = task.kind, task.k, task.i, task.j
+        if kind == G:
+            gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
+            gemm(blk[k][i], blk[k][j], blk[i][j])
+        elif kind == T:
+            trsm = kernels.trsm_asym if vc else kernels.trsm_blocked
+            trsm(blk[k][k], blk[k][j])
+        elif kind == S:
+            syrk = kernels.syrk_asym if vc else kernels.syrk_blocked
+            syrk(blk[k][i], blk[i][i])
+        else:  # TaskKind.C
             try:
                 blk[k][k] = dense.ref_potrf(blk[k][k])
             except NotPositiveDefiniteError as exc:
@@ -396,47 +409,36 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
                     k * bm.b + exc.index,
                     f"block ({k},{k}) not positive definite at local pivot "
                     f"{exc.index}") from exc
-        elif task.kind == TaskKind.T:
-            trsm = kernels.trsm_asym if vc else kernels.trsm_blocked
-            trsm(blk[k][k], blk[k][j])
-        elif task.kind == TaskKind.S:
-            syrk = kernels.syrk_asym if vc else kernels.syrk_blocked
-            syrk(blk[k][i], blk[i][i])
-        else:  # TaskKind.G
-            gemm = kernels.gemm_asym if vc else kernels.gemm_blocked
-            gemm(blk[k][i], blk[k][j], blk[i][j])
-
-    def next_task(worker: Resource) -> Optional[int]:
-        # Called under cond; None means stop. The core counts the worker idle
-        # from its completion until select succeeds: while it waits here.
-        while state["error"] is None and not core.done:
-            tid = core.select(worker.id)
-            if tid is not None:
-                return tid
-            cond.wait()
-        return None
 
     def worker_loop(worker: Resource) -> None:
-        # A VC worker keeps one slow-lane thread for the whole run; the
-        # pair is joined when the loop ends, failed or not.
-        lane_scope = (kernels.lane_pair() if worker.kind == VC
-                      else contextlib.nullcontext())
+        # One hold of lock completes a task and selects the next. A VC worker
+        # keeps one slow-lane thread, joined when the loop ends, failed or not.
+        nonlocal error, waiting
+        wid, vc, tid = worker.id, worker.kind == VC, None
         try:
-            with lane_scope:
-                with cond:
-                    tid = next_task(worker)
-                while tid is not None:
-                    start = time.perf_counter_ns()
-                    body(g.tasks[tid], worker)
-                    end = time.perf_counter_ns()
-                    with cond:
-                        core.complete(worker.id, tid, start, end)
-                        cond.notify_all()
-                        tid = next_task(worker)
+            with kernels.lane_pair() if vc else contextlib.nullcontext():
+                while True:
+                    with lock:
+                        if tid is not None:
+                            complete(wid, tid, start, end)
+                            if waiting and (pool or len(records) == ntasks):
+                                waiting = 0
+                                cond.notify_all()
+                        while error is None and len(records) < ntasks:
+                            tid = select(wid)
+                            if tid is not None:
+                                break
+                            waiting += 1
+                            cond.wait()
+                        else:  # done, or another worker failed
+                            return
+                    start = clock()
+                    body(tasks[tid], worker, vc)
+                    end = clock()
         except BaseException as exc:  # run() re-raises it after the join
-            with cond:  # the first failure wins; wake every waiter to stop
-                if state["error"] is None:
-                    state["error"] = exc
+            with lock:  # the first failure wins; wake every waiter to stop
+                if error is None:
+                    error = exc
                 cond.notify_all()
 
     wall_start = time.perf_counter_ns()
@@ -449,10 +451,9 @@ def run(g: TaskGraph, bm: BlockedMatrix, policy: Policy,
     wall_end = time.perf_counter_ns()
 
     trace = core.trace(wall_start, wall_end)
-    if state["error"] is not None:
-        err = state["error"]
-        err.trace = trace
-        raise err
+    if error is not None:
+        error.trace = trace
+        raise error
     return bm, trace
 
 

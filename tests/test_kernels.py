@@ -444,6 +444,81 @@ class TestTrsmPlumbing:
             with pytest.raises(ValueError, match="in place"):
                 trsm(upper(5, 44), b)
         np.testing.assert_array_equal(b, before)
+    @pytest.mark.parametrize("m", [4, 3 * MICRO_SLAB + 4])
+    def test_read_only_u(self, m):
+        u, b0 = upper(6, 45), rand((6, m), 46)
+        want = trsm_blocked(u, b0.copy(order="F"))
+        u.flags.writeable = False
+        for trsm in (trsm_blocked, trsm_asym):
+            np.testing.assert_array_equal(trsm(u, b0.copy(order="F")), want)
+
+    def test_zero_diagonal_check_keeps_nan_and_signed_zero_rules(self):
+        # As ndarray.all(): NaN counts as nonzero, -0.0 as zero.
+        u, b = upper(5, 47), rand((5, 3), 48)
+        u[1, 1] = np.nan
+        assert np.isnan(trsm_blocked(u, b.copy(order="F"))).any()
+        u[3, 3] = -0.0
+        for trsm in (trsm_blocked, trsm_asym):
+            with pytest.raises(dense.SingularTriangularError) as exc:
+                trsm(u, b.copy(order="F"))
+            assert exc.value.index == 3
+
+    @pytest.mark.parametrize("m", [0, 5, 3 * MICRO_SLAB])
+    def test_empty_operands(self, m):
+        u, b = np.zeros((0, 0)), np.zeros((0, m), order="F")
+        for trsm in (trsm_blocked, trsm_asym):
+            assert trsm(u, b).shape == (0, m)
+        b = rand((4, 0), 49)
+        for trsm in (trsm_blocked, trsm_asym):
+            assert trsm(upper(4, 50), b).shape == (4, 0)
+
+
+class TestSingleSlab:
+    """A call of one slab (m <= MICRO_SLAB) is one helper call on the
+    caller, with no lane handoff and no closure, on the whole block."""
+
+    @pytest.mark.parametrize("m", [1, 4, 57, MICRO_SLAB])
+    def test_asym_calls_its_helper_once_on_the_caller(self, monkeypatch, m):
+        a, b, c0 = rand((6, m), 1), rand((6, 5), 2), rand((m, 5), 3)
+        cs0, u, rhs0 = rand((m, m), 4), upper(6, 5), rand((6, m), 6)
+        expect = (gemm_blocked(a, b, c0.copy(order="F")),
+                  syrk_blocked(a, cs0.copy(order="F")),
+                  trsm_blocked(u, rhs0.copy(order="F")))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a single-slab call reached the lane path")
+
+        monkeypatch.setattr(kernels, "_run_lanes", forbidden)
+        monkeypatch.setattr(kernels, "partial", forbidden)
+        calls = []
+        for name in ("_gemm_rows", "_syrk_rows", "_trsm_cols"):
+            monkeypatch.setattr(kernels, name,
+                                record(calls)(getattr(kernels, name)))
+        got = (gemm_asym(a, b, c0.copy(order="F")),
+               syrk_asym(a, cs0.copy(order="F")),
+               trsm_asym(u, rhs0.copy(order="F")))
+        for g, want in zip(got, expect):
+            np.testing.assert_array_equal(g, want)
+        assert calls == [(0, m, False)] * 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, MICRO_SLAB), n=st.integers(1, 40),
+           k=st.integers(1, 40), order_a=st.sampled_from("CF"),
+           order_b=st.sampled_from("CF"))
+    def test_whole_block_matches_the_one_slab_loop(self, m, n, k, order_a,
+                                                   order_b):
+        # The unsliced update hands BLAS the operands of the slab loop's
+        # single iteration, so the bits are the same.
+        a = np.array(rand((k, m), m), order=order_a)
+        b = np.array(rand((k, n), n), order=order_b)
+        c, want = rand((m, n), k), rand((m, n), k)
+        kernels._gemm_rows(a, b, c, 0, m)
+        want[0:m] -= np.dot(b.T, a[:, 0:m]).T
+        np.testing.assert_array_equal(c, want)
+        c, want = rand((m, m), k + 1), rand((m, m), k + 1)
+        kernels._syrk_rows(a, c, 0, m)
+        want[0:m, 0:] -= np.dot(a[:, 0:].T, a[:, 0:m]).T
+        np.testing.assert_array_equal(c, want)
 
 
 class TestSlabGrid:

@@ -1,11 +1,14 @@
 """Threaded execution: policies, legality, determinism, failure handling."""
 
+import hashlib
 import itertools
 import random
 import sys
 import threading
 import time
+from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +19,11 @@ from ampsched import dense, kernels, runtime
 from ampsched.dense import BlockedMatrix, NotPositiveDefiniteError
 from ampsched.runtime import (CATS, FAST, OBLIVIOUS, SLOW, VC, VC_POLICY,
                               Policy, ReadyPool, Resource, SchedulerCore,
-                              Table3CostModel, Trace, TraceEvent, gflops,
-                              make_workers, run)
-from ampsched.taskgraph import build_cholesky_dag
+                              Table3CostModel, Trace, TraceEvent, fastest_ns,
+                              gflops, make_workers, run)
+from ampsched.taskgraph import TaskKind, build_cholesky_dag
 from conftest import (check_trace_legality, count_lane_pairs, meet_first,
-                      run_with_timeout)
+                      random_task_graph, run_with_timeout)
 
 POLICIES = [Policy(OBLIVIOUS), Policy(CATS), Policy(VC_POLICY)]
 
@@ -139,6 +142,126 @@ class TestFactorization:
     def test_single_block(self):
         a, g, bm, _ = factor(16, 16, Policy(OBLIVIOUS), 2)
         assert dense.residual(a, bm.upper_factor()) < 1e-13
+
+
+class TestFactorDigests:
+    # sha1 of upper_factor().tobytes() for make_spd(n, 1), measured before
+    # the worker loop and the single-slab kernel path were reworked. The
+    # factor must stay bitwise the same under every policy.
+    DIGESTS = {
+        (160, 4): "f39c2f7e9621235e7726eb34e65ab598df7fabf5",
+        (300, 7): "13d07d16d514596557219d58a94bcc94f7bf42d8",
+        (2048, 256): "b443687b8192fc688df8e2f9bfbb302d9885af2d",
+    }
+
+    @pytest.mark.parametrize("n,b", list(DIGESTS))
+    @pytest.mark.parametrize("policy,nworkers", [
+        (OBLIVIOUS, 2), (CATS, 2), (VC_POLICY, 1)])
+    def test_factor_sha1_pinned(self, n, b, policy, nworkers):
+        _, _, bm, _ = factor(n, b, Policy(policy), nworkers)
+        digest = hashlib.sha1(bm.upper_factor().tobytes()).hexdigest()
+        assert digest == self.DIGESTS[n, b]
+
+
+def count_wakeups(monkeypatch) -> Counter:
+    """Count run()'s condition waits and notifies (direct notify calls and
+    notify_all calls apart); other modules' conditions are not counted."""
+    counts = Counter()
+
+    class Counted(threading.Condition):
+        inside_all = False  # set under the lock, as notify requires it
+
+        def wait(self, timeout=None):
+            counts["wait"] += 1
+            return super().wait(timeout)
+
+        def notify(self, n=1):
+            if not self.inside_all:
+                counts["notify"] += 1
+            super().notify(n)
+
+        def notify_all(self):
+            counts["notify_all"] += 1
+            self.inside_all = True
+            try:
+                super().notify_all()
+            finally:
+                self.inside_all = False
+
+    monkeypatch.setattr(runtime, "threading", SimpleNamespace(
+        Condition=Counted, Lock=threading.Lock, Thread=threading.Thread))
+    return counts
+
+
+class TestWakeups:
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+    def test_one_worker_run_never_notifies(self, monkeypatch, policy):
+        counts = count_wakeups(monkeypatch)
+        a, g, bm, trace = factor(40, 5, policy, 1)
+        assert dense.residual(a, bm.upper_factor()) < 1e-13
+        assert len(trace.events) == len(g.tasks)
+        assert counts["notify"] == counts["notify_all"] == 0
+        assert counts["wait"] == 0
+
+    def test_two_workers_notify_at_most_once_per_wait(self, monkeypatch):
+        # s = 8: 120 tasks. A notify is made only for workers that wait, and
+        # it wakes all of them, so there are no more notifies than waits
+        # (plus the wakeup at the end of the run).
+        counts = count_wakeups(monkeypatch)
+        a, g, bm, trace = factor(64, 8, Policy(OBLIVIOUS), 2)
+        check_trace_legality(g, trace)
+        assert dense.residual(a, bm.upper_factor()) < 1e-13
+        assert counts["notify"] == 0
+        assert counts["notify_all"] <= counts["wait"] + 1
+
+
+class TestFastestNs:
+    class ByKindAndId:
+        """A cost model priced by task kind and resource id alone, counting
+        its probes."""
+
+        def __init__(self, seed: int, nres: int):
+            rng = random.Random(seed)
+            self.table = {(kind, r): rng.randint(1, 50)
+                          for kind in TaskKind for r in range(nres)}
+            self.calls = 0
+
+        def duration_ns(self, task, resource) -> int:
+            self.calls += 1
+            return self.table[task.kind, resource.id]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), nres=st.integers(1, 4),
+           max_nodes=st.sampled_from([1, 3, 8, 60]))
+    def test_matches_brute_force_min_with_one_probe_per_pair(
+            self, seed, nres, max_nodes):
+        # Random DAGs of a few tasks may lack some kinds.
+        g = random_task_graph(np.random.default_rng(seed), max_nodes)
+        resources = [Resource(i, FAST if i % 2 else SLOW) for i in range(nres)]
+        cost = self.ByKindAndId(seed, nres)
+        got = fastest_ns(g, resources, cost)
+        kinds = {t.kind for t in g.tasks}
+        assert cost.calls == len(kinds) * nres
+        assert got == {kind: min(cost.duration_ns(t, r) for t in g.tasks
+                                 if t.kind == kind for r in resources)
+                       for kind in kinds}
+
+    def test_scan_stops_once_every_kind_is_seen(self):
+        class Scanned(list):
+            seen = 0
+
+            def __iter__(self):
+                for t in super().__iter__():
+                    self.seen += 1
+                    yield t
+
+        g = build_cholesky_dag(8)
+        last_new = max(min(t.id for t in g.tasks if t.kind == kind)
+                       for kind in TaskKind)
+        g.tasks = Scanned(g.tasks)
+        ns = fastest_ns(g, [Resource(0, FAST)], Table3CostModel(8))
+        assert set(ns) == set(TaskKind)
+        assert g.tasks.seen == last_new + 1 < len(g.tasks)
 
 
 class TestJitteredLegality:
