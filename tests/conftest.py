@@ -14,12 +14,13 @@ KINDS = [TaskKind.C, TaskKind.T, TaskKind.S, TaskKind.G]
 
 
 def random_task_graph(rng: np.random.Generator, max_nodes: int = 60,
-                      grid: int = 4) -> TaskGraph:
+                      grid: int = 4, reads_out: list | None = None) -> TaskGraph:
     """A random but well-formed DAG built through the dependency tracker.
 
     Each task reads a few random blocks of a small grid and writes one,
     so the resulting graph has realistic fan-in/fan-out and its ids are a
-    topological order by construction.
+    topological order by construction. Tasks do not keep their reads: pass
+    a list as reads_out to receive each task's registered read set.
     """
     builder = TaskGraphBuilder()
     n_tasks = int(rng.integers(1, max_nodes + 1))
@@ -30,6 +31,8 @@ def random_task_graph(rng: np.random.Generator, max_nodes: int = 60,
         n_reads = int(rng.integers(0, 4))
         reads = {blocks[int(rng.integers(len(blocks)))] for _ in range(n_reads)}
         builder.register_task(kind, reads=reads, write=write)
+        if reads_out is not None:
+            reads_out.append(reads)
     return builder.build()
 
 

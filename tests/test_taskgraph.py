@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,27 +13,55 @@ from hypothesis import strategies as st
 from ampsched import taskgraph
 from ampsched.taskgraph import (TaskGraph, TaskGraphBuilder, TaskKind,
                                 bottom_levels, build_cholesky_dag,
-                                critical_path, export_dot, task_counts,
-                                to_json)
+                                cholesky_reads, critical_path, export_dot,
+                                task_counts, to_json)
 from conftest import random_task_graph
 
 
-def pairwise_dependence_oracle(g: TaskGraph) -> set:
+def cholesky_program(s: int) -> list:
+    """The right-looking loop nest for s block rows, written out here
+    independently of ampsched: (kind, k, written block, read blocks) per
+    task, in program order."""
+    prog = []
+    for k in range(s):
+        prog.append((TaskKind.C, k, (k, k), {(k, k)}))
+        for j in range(k + 1, s):
+            prog.append((TaskKind.T, k, (k, j), {(k, k), (k, j)}))
+        for i in range(k + 1, s):
+            prog.append((TaskKind.S, k, (i, i), {(k, i), (i, i)}))
+            for j in range(i + 1, s):
+                prog.append((TaskKind.G, k, (i, j), {(k, i), (k, j), (i, j)}))
+    return prog
+
+
+def cholesky_program_reads(g: TaskGraph) -> list:
+    """Each task's reads for a Cholesky DAG g, from cholesky_program; g's
+    tasks must be that program's, in its order."""
+    prog = cholesky_program(sum(t.kind == TaskKind.C for t in g.tasks))
+    assert [(t.kind, t.k, (t.i, t.j)) for t in g.tasks] == \
+        [(kind, k, write) for kind, k, write, _ in prog]
+    return [reads for *_, reads in prog]
+
+
+def pairwise_dependence_oracle(g: TaskGraph, reads=None) -> set:
     """Independent edge oracle: p -> q iff they conflict on some block and
     no task strictly between them writes that block. A task writes the
-    one block (i, j)."""
+    one block (i, j); reads[t] is the set of blocks task t reads, by
+    default those of cholesky_program for a Cholesky DAG g."""
+    if reads is None:
+        reads = cholesky_program_reads(g)
     writes = [{(t.i, t.j)} for t in g.tasks]
     edges = set()
-    for q in g.tasks:
-        for p in g.tasks[:q.id]:
-            for blk in (writes[p.id] | p.reads) & (writes[q.id] | q.reads):
-                raw_waw = blk in writes[p.id] and blk in (q.reads | writes[q.id])
-                war = blk in p.reads and blk in writes[q.id]
+    for q in range(len(g.tasks)):
+        for p in range(q):
+            for blk in (writes[p] | reads[p]) & (writes[q] | reads[q]):
+                raw_waw = blk in writes[p] and blk in (reads[q] | writes[q])
+                war = blk in reads[p] and blk in writes[q]
                 if not (raw_waw or war):
                     continue
-                if any(blk in writes[r] for r in range(p.id + 1, q.id)):
+                if any(blk in writes[r] for r in range(p + 1, q)):
                     continue
-                edges.add((p.id, q.id))
+                edges.add((p, q))
     return edges
 
 
@@ -95,6 +124,32 @@ class TestCholeskyDag:
         assert hashlib.sha1(repr(g.successors).encode()).hexdigest() == \
             "e8e14bf640adf1255f7add34665f0e0c5aacff28"
 
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_equals_builder_replay(self, s):
+        # The closed form against the generic tracker fed cholesky_reads,
+        # the helper to_json writes: same tasks, successors and indegrees.
+        b = TaskGraphBuilder()
+        for kind, k, write, _ in cholesky_program(s):
+            b.register_task(kind, reads=cholesky_reads(kind, k, *write),
+                            write=write, k=k)
+        ref, g = b.build(), build_cholesky_dag(s)
+        assert [(t.id, t.kind, t.k, t.i, t.j) for t in g.tasks] == \
+            [(t.id, t.kind, t.k, t.i, t.j) for t in ref.tasks]
+        assert g.successors == ref.successors
+        assert g.indegree == ref.indegree
+
+    def test_s40_live_size(self):
+        # Tasks keep no reads and use slots: 2.5 MiB here, 7.3 MiB when
+        # each task held a frozenset of its reads.
+        tracemalloc.start()
+        try:
+            g = build_cholesky_dag(40)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(g.tasks) == 11_480
+        assert live <= 3 * 2**20
+
     def test_rejects_bad_s(self):
         with pytest.raises(ValueError):
             build_cholesky_dag(0)
@@ -130,8 +185,10 @@ class TestBuilder:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_random_graphs_match_oracle(self, seed):
-        g = random_task_graph(np.random.default_rng(seed), max_nodes=25)
-        assert set(g.edges) == pairwise_dependence_oracle(g)
+        reads = []
+        g = random_task_graph(np.random.default_rng(seed), max_nodes=25,
+                              reads_out=reads)
+        assert set(g.edges) == pairwise_dependence_oracle(g, reads)
         assert all(p < q for p, q in g.edges)
 
 
@@ -175,10 +232,20 @@ class TestExport:
         assert [(r["id"], r["kind"], r["k"], r["i"], r["j"]) for r in recs] \
             == [(t.id, t.kind.value, t.k, t.i, t.j) for t in g.tasks]
         assert [sorted(map(tuple, r["reads"])) for r in recs] \
-            == [sorted(t.reads) for t in g.tasks]
+            == [sorted(reads) for reads in cholesky_program_reads(g)]
         assert [tuple(e) for e in doc["edges"]] == g.edges
         # The written block is the task's (i, j), so no "writes" key.
         assert "writes" not in doc["tasks"][0]
+
+    def test_json_rejects_other_graphs(self):
+        # Only a build_cholesky_dag graph has reads cholesky_reads can give.
+        g = build_cholesky_dag(4)
+        g.indegree[g.successors[0].pop()] -= 1
+        others = [TaskGraph([], [], []), g] + [
+            random_task_graph(np.random.default_rng(seed)) for seed in range(5)]
+        for other in others:
+            with pytest.raises(ValueError):
+                to_json(other)
 
     def test_export_bytes_pinned(self):
         g = build_cholesky_dag(6)
